@@ -4,12 +4,12 @@ GO ?= go
 # under the race detector. tensor covers the parallel GEMM kernels, train
 # the batch-prep prefetch pipeline, distributed the replica barrier and
 # eviction paths, resilience the checkpoint/rollback machinery, memstore
-# the sharded mailbox under concurrent read/push, plan the captured
-# execution plans replayed under the prefetch pipeline, wal the segmented
-# ingest log's interval-sync goroutine against appends, cluster the
-# replication sender/receiver goroutines and the router's probe loop
-# against concurrent ingest/score traffic.
-RACE_PKGS = ./internal/parallel/... ./internal/serve/... ./internal/obs/... ./internal/tensor/... ./internal/train/... ./internal/plan/... ./internal/distributed/... ./internal/resilience/... ./internal/load/... ./internal/memstore/... ./internal/wal/... ./internal/cluster/...
+# the sharded mailbox under concurrent read/push, wal the segmented ingest
+# log's interval-sync goroutine against appends, cluster the replication
+# sender/receiver goroutines and the router's probe loop against concurrent
+# ingest/score traffic (WAL-shipping replication end to end, failover with
+# hinted handoff, the repl/probe/promote fault points).
+RACE_PKGS = ./internal/parallel/... ./internal/serve/... ./internal/obs/... ./internal/tensor/... ./internal/train/... ./internal/distributed/... ./internal/resilience/... ./internal/load/... ./internal/memstore/... ./internal/wal/... ./internal/cluster/...
 
 # The fault suite: injected NaN gradients with rollback, kill-and-resume
 # equivalence (exact and bounded-staleness pipelines), checkpoint-write
@@ -22,17 +22,11 @@ RACE_PKGS = ./internal/parallel/... ./internal/serve/... ./internal/obs/... ./in
 # with hinted handoff — all under the race detector.
 FAULT_RE = ^(TestKillAndResume|TestStalenessKillAndResume|TestMailboxConcurrentReadPush|TestNaNRollback|TestRepeatedNaN|TestHealthGivesUp|TestCheckpointWriteFailure|TestInjectedWriteFailures|TestReplicaDeath|TestHungReplica|TestAllReplicasDead|TestErrorReturnJoinsPrefetch|TestGracefulShutdown|TestReplicaRejoins|TestRejoin|TestReportDrop|TestOverload|TestDrainZeroDropped|TestQueueFullDegrades|TestBreaker|TestRetry|TestStaleReplica|TestRateLimit|TestDeadlineExpires|TestInjectedWriteFailureBreaksLog|TestInjectedSyncFailureBreaksLog|TestInjectedRotateFailure|TestWALKillAtRandomOffset|TestWALFaultDegradesReadOnly|TestWALRotateFaultDegradesReadOnly|TestWALSnapshotFaultKeepsServing|TestReplicationFaultPoints|TestRouterProbeTimeoutFaultTriggersFailover|TestRouterFailoverAndHintedHandoff|TestRouterHintOverflowSheds)
 
-# Hot-path micro-benchmarks captured in BENCH_pr7.json: the GEMM variants
-# (plain / ᵀA / ᵀB, ragged shapes), the GRU training step (fused and eager),
-# one full TrainEpoch for TGN and TGAT (compiled and eager), and the
-# dependency-table build.
-BENCH_RE = ^(BenchmarkMatMul|BenchmarkGRUStep|BenchmarkTrainingStep|BenchmarkDependencyTableBuild)
-BENCH_PKGS = . ./internal/tensor ./internal/nn
+.PHONY: check build test vet race benchall faultsmoke chaossmoke stalesmoke walsmoke tracesmoke clean
 
-.PHONY: check build test vet race bench benchdiff benchsmoke benchall faultsmoke chaossmoke stalesmoke plansmoke walsmoke replsmoke tracesmoke clean
-
-# check is the tier-1 gate: everything a PR must keep green.
-check: vet build test race benchsmoke benchdiff faultsmoke chaossmoke stalesmoke plansmoke walsmoke replsmoke tracesmoke
+# check is the tier-1 gate: everything a PR must keep green. Performance is
+# not gated here: `bash benchmark/run.sh` is the repo's performance record.
+check: vet build test race faultsmoke chaossmoke stalesmoke walsmoke tracesmoke
 
 build:
 	$(GO) build ./...
@@ -45,33 +39,6 @@ test:
 
 race:
 	$(GO) test -race -count=1 $(RACE_PKGS)
-
-# bench regenerates BENCH_pr7.json: ns/op, B/op, allocs/op per hot-path op,
-# joined with the committed BENCH_pr2.json (pre-plan-capture) artifact as
-# before/after, so the record shows what plan replay + the AVX2 microkernels
-# bought over the blocked-GEMM-era numbers.
-bench:
-	$(GO) test -bench='$(BENCH_RE)' -benchmem -benchtime=2s -run=^$$ $(BENCH_PKGS) \
-		| $(GO) run ./tools/benchjson -baseline BENCH_pr2.json -o BENCH_pr7.json \
-			-note "make bench: plan capture/replay + AVX2 FMA microkernels"
-
-# benchdiff is the performance regression gate: a fresh run of the captured
-# benchmarks against the committed BENCH_pr7.json artifact. The benchtime
-# must match the baseline's (make bench uses 2s): the pool-backed
-# benchmarks amortize a fixed warm-up allocation over the iteration count,
-# so a shorter candidate run inflates B/op and trips the gate on nothing.
-# Thresholds are generous but catch the failure mode that matters here:
-# instrumentation leaking cost into the hot path when tracing is disabled.
-benchdiff:
-	$(GO) test -bench='$(BENCH_RE)' -benchmem -benchtime=2s -run=^$$ $(BENCH_PKGS) \
-		| $(GO) run ./tools/benchjson -o /tmp/cascade-benchdiff.json -note "benchdiff candidate" 2>/dev/null
-	$(GO) run ./tools/benchdiff -old BENCH_pr7.json -new /tmp/cascade-benchdiff.json
-
-# benchsmoke runs every captured benchmark once so check catches bit-rot in
-# the harness (and the benchjson parser) without paying measurement time.
-benchsmoke:
-	$(GO) test -bench='$(BENCH_RE)' -benchmem -benchtime=1x -run=^$$ $(BENCH_PKGS) \
-		| $(GO) run ./tools/benchjson -o /dev/null
 
 # faultsmoke proves the recovery paths end to end: the fault-injection test
 # suite under -race, then a real checkpointed cascade-train run whose files
@@ -89,15 +56,6 @@ faultsmoke:
 stalesmoke:
 	$(GO) test -count=1 -run '^TestStaleSmoke$$' ./internal/train
 
-# plansmoke gates the plan capture/replay subsystem: the plan package's own
-# unit tests (fusion goldens, replay-vs-eager bitwise pins, the zero-alloc
-# steady-state pin) plus the trainer-level smoke test that a compiled run
-# hits the plan cache, fuses ops, never falls back, and reports it all
-# through the train_plan_* metrics.
-plansmoke:
-	$(GO) test -count=1 ./internal/plan/...
-	$(GO) test -count=1 -run '^TestPlanSmoke$$' ./internal/train
-
 # chaossmoke drives the deterministic chaos harness end to end: a 10× burst
 # against a saturated scoring server must shed-not-collapse, a flapping
 # training replica must rejoin from the latest on-disk checkpoint, an
@@ -108,20 +66,10 @@ plansmoke:
 chaossmoke:
 	$(GO) run ./tools/chaos -scenario all
 
-# walsmoke gates the ingest write-ahead log: the wal package's own tests
-# (framing, rotation, retention, torn-tail truncation at every byte offset)
-# plus the walcheck linter's selftest over clean/torn/corrupt logs.
+# walsmoke runs the walcheck linter's selftest over clean/torn/corrupt logs
+# (the wal package's own tests ride test and race).
 walsmoke:
-	$(GO) test -count=1 ./internal/wal/...
 	$(GO) run ./tools/walcheck -selftest
-
-# replsmoke gates the serve cluster: the cluster package's own tests under
-# the race detector — WAL-shipping replication end to end (semi-sync acks,
-# snapshot catch-up, standby WALs verified as byte prefixes of the
-# primary's), the rendezvous router's pair-aware split/merge, failover with
-# hinted handoff, and the repl/probe/promote fault points.
-replsmoke:
-	$(GO) test -race -count=1 ./internal/cluster/...
 
 # tracesmoke gates the observability plane: one request through a traced
 # 2-shard router must yield a single distributed trace-id visible in the
@@ -134,7 +82,8 @@ tracesmoke:
 	$(GO) test -count=1 -run '^TestTraceSmoke$$' ./internal/cluster
 	$(GO) run ./tools/tracemerge -selftest
 
-# benchall runs the full experiment suite (every paper table/figure) once.
+# benchall runs every benchmark function once: the experiment suite (every
+# paper table/figure) and the GEMM / GRU / training-step micro-benchmarks.
 benchall:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 

@@ -172,23 +172,18 @@ func BenchmarkMatMul128(b *testing.B) {
 	}
 }
 
-// The TrainingStep benchmarks run one full TrainEpoch per iteration. The
-// unsuffixed variants use the default configuration — plan capture/replay
-// plus fused module kernels (-compile on) — while the Eager variants pin the
-// pre-compile execution for A/B comparison; TGAT covers the attention-model
-// path (two GAT layers) next to TGN's recurrent one.
+// The TrainingStep benchmarks run one full TrainEpoch per iteration; TGAT
+// covers the attention-model path (two GAT layers) next to TGN's recurrent
+// one.
 
-func BenchmarkTrainingStepTGN(b *testing.B)       { benchTrainingStep(b, "TGN", false) }
-func BenchmarkTrainingStepTGNEager(b *testing.B)  { benchTrainingStep(b, "TGN", true) }
-func BenchmarkTrainingStepTGAT(b *testing.B)      { benchTrainingStep(b, "TGAT", false) }
-func BenchmarkTrainingStepTGATEager(b *testing.B) { benchTrainingStep(b, "TGAT", true) }
+func BenchmarkTrainingStepTGN(b *testing.B)  { benchTrainingStep(b, "TGN") }
+func BenchmarkTrainingStepTGAT(b *testing.B) { benchTrainingStep(b, "TGAT") }
 
-func benchTrainingStep(b *testing.B, model string, disableCompile bool) {
+func benchTrainingStep(b *testing.B, model string) {
 	ds := cascade.GenerateDataset("WIKI", 0.01, 3)
 	run, err := cascade.NewRun(cascade.RunConfig{
 		Dataset: ds, Model: model, Scheduler: cascade.SchedTGL,
 		BaseBatch: 100, Epochs: 1, MemoryDim: 32, TimeDim: 8, Seed: 1,
-		DisableCompile: disableCompile,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -148,12 +148,6 @@ type RunConfig struct {
 	// every batch behind the memory-update stage. 0 (default) is the exact
 	// schedule, bitwise-identical to prior behavior. See DESIGN.md §12.
 	Staleness int
-	// DisableCompile turns off the plan capture/compile/execute pipeline
-	// (on by default): with it off, every batch runs the eager tape instead
-	// of replaying shape-cached fused plans. Compiled runs are
-	// bitwise-identical to eager ones; the switch exists for debugging and
-	// A/B timing. See DESIGN.md §13.
-	DisableCompile bool
 }
 
 // Result summarizes a finished run.
@@ -264,7 +258,6 @@ func NewRun(cfg RunConfig) (*Run, error) {
 		LR: cfg.LR, ValBatch: cfg.ValBatch, Seed: cfg.Seed,
 		Task: cfg.Task, OnBatch: cfg.OnBatch, Obs: cfg.Obs,
 		Tracer: cfg.Tracer, Staleness: cfg.Staleness,
-		Compile: !cfg.DisableCompile,
 	}
 	if !cfg.SkipDevice {
 		dev := DevicePreset(cfg.Scheduler)

@@ -2,8 +2,14 @@ package cascade
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"testing"
+
+	"github.com/cascade-ml/cascade/internal/models"
+	"github.com/cascade-ml/cascade/internal/serve"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
@@ -275,5 +281,71 @@ func TestHeadlineSpeedupRegression(t *testing.T) {
 	}
 	if casc.MeanBatchSize < 1.5*tgl.MeanBatchSize {
 		t.Fatalf("Cascade batches barely grew: %.0f vs %.0f", casc.MeanBatchSize, tgl.MeanBatchSize)
+	}
+}
+
+// TestScoringReplicaMatchesTrainerModel pins that the (model, predictor) pair
+// NewScoringReplica builds is the trainer's architecture on the trainer's
+// forward path: given the trainer-side stream state, a server built around
+// the replica answers /score with bitwise the logits Run.ScoreEdges computes.
+func TestScoringReplicaMatchesTrainerModel(t *testing.T) {
+	ds := GenerateDataset("WIKI", 0.002, 42)
+	for _, name := range models.Names {
+		t.Run(name, func(t *testing.T) {
+			run, err := NewRun(RunConfig{
+				Dataset: ds, Model: name, Scheduler: SchedTGL,
+				BaseBatch: 60, Epochs: 1, MemoryDim: 16, TimeDim: 4, Seed: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := run.Execute(); err != nil {
+				t.Fatal(err)
+			}
+			m, p, err := run.NewScoringReplica()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Restore(run.Model().Snapshot())
+
+			const n = 8
+			at := ds.Events[len(ds.Events)-1].Time + 1
+			src, dst, ts := make([]int32, n), make([]int32, n), make([]float64, n)
+			pairs := make([]serve.PairIn, n)
+			for i := range pairs {
+				e := ds.Events[len(ds.Events)-1-i]
+				src[i], dst[i], ts[i] = e.Src, e.Dst, at
+				pairs[i] = serve.PairIn{Src: e.Src, Dst: e.Dst}
+			}
+			body, err := json.Marshal(map[string]any{"pairs": pairs, "time": at})
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := httptest.NewRequest(http.MethodPost, "/score", bytes.NewReader(body))
+			req.Header.Set("Content-Type", "application/json")
+			rec := httptest.NewRecorder()
+			serve.New(m, p, ds.NumNodes).Handler().ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("/score: %d %s", rec.Code, rec.Body)
+			}
+			var got struct {
+				Scores []float32 `json:"scores"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+				t.Fatal(err)
+			}
+			want, err := run.ScoreEdges(src, dst, ts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Scores) != len(want) {
+				t.Fatalf("%d scores, want %d", len(got.Scores), len(want))
+			}
+			for i := range want {
+				if math.Float32bits(got.Scores[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("pair %d: replica /score %v != trainer-side %v", i, got.Scores[i], want[i])
+				}
+			}
+		})
 	}
 }

@@ -31,9 +31,7 @@ func main() {
 	flag.IntVar(&set.Staleness, "staleness", set.Staleness, "bounded-staleness budget for every run (0 = exact; the 'staleness' experiment sweeps its own)")
 	flag.Int64Var(&set.Seed, "seed", set.Seed, "random seed")
 	flag.IntVar(&set.Workers, "workers", set.Workers, "CPU workers (0 = all cores)")
-	compile := flag.Bool("compile", true, "capture and replay shape-cached fused execution plans (bitwise-identical to eager; disable for A/B timing)")
 	flag.Parse()
-	set.DisableCompile = !*compile
 
 	if *list {
 		for _, id := range experiments.IDs {

@@ -33,7 +33,6 @@ func main() {
 	theta := flag.Float64("theta", 0.9, "SG-Filter similarity threshold")
 	seed := flag.Int64("seed", 1, "random seed")
 	staleness := flag.Int("staleness", 0, "bounded-staleness budget: forward passes may read node memories up to this many update rounds behind (0 = exact schedule)")
-	compile := flag.Bool("compile", true, "capture and replay shape-cached fused execution plans (bitwise-identical to eager; disable for A/B timing)")
 	task := flag.String("task", "link", "task: link (edge prediction) or nodeclass (needs a labeled dataset, e.g. MOOC)")
 	metrics := flag.Bool("metrics", false, "also report ROC-AUC and Average Precision")
 	savePath := flag.String("save", "", "write a model checkpoint here after training")
@@ -131,18 +130,17 @@ func main() {
 	}
 
 	cfg := cascade.RunConfig{
-		Dataset:        ds,
-		Model:          *model,
-		Scheduler:      cascade.SchedulerKind(*scheduler),
-		BaseBatch:      *base,
-		Epochs:         *epochs,
-		MemoryDim:      *memdim,
-		TimeDim:        *timedim,
-		LR:             float32(*lr),
-		ThetaSim:       *theta,
-		Seed:           *seed,
-		Staleness:      *staleness,
-		DisableCompile: !*compile,
+		Dataset:   ds,
+		Model:     *model,
+		Scheduler: cascade.SchedulerKind(*scheduler),
+		BaseBatch: *base,
+		Epochs:    *epochs,
+		MemoryDim: *memdim,
+		TimeDim:   *timedim,
+		LR:        float32(*lr),
+		ThetaSim:  *theta,
+		Seed:      *seed,
+		Staleness: *staleness,
 	}
 	switch *task {
 	case "link":

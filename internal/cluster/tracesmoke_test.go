@@ -77,6 +77,10 @@ func TestTraceSmoke(t *testing.T) {
 		t.Fatalf("score status %d: %s", rec.Code, rec.Body.String())
 	}
 	routerChrome.Close()
+	// The router's probe loop keeps producing shard spans; Close waits for
+	// in-flight handlers, so nothing writes the buffers while they are read.
+	ts0.Close()
+	ts1.Close()
 
 	merged, rep, err := obs.MergeChromeTraces([]obs.TraceFile{
 		{Name: "router.trace", Data: routerBuf.Bytes()},

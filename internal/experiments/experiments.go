@@ -46,9 +46,6 @@ type Settings struct {
 	// executed under (0, the default, keeps every pipeline exact; the
 	// dedicated "staleness" experiment sweeps its own budgets regardless).
 	Staleness int
-	// DisableCompile turns off plan capture/replay for every training run
-	// (compiled execution is the default and is bitwise-identical to eager).
-	DisableCompile bool
 	// Seed drives everything.
 	Seed int64
 	// Workers bounds CPU parallelism (≤0: all cores).
@@ -250,8 +247,6 @@ func (r *Runner) run(model, dsName string, kind cascade.SchedulerKind, batchOver
 		Staleness: r.Set.Staleness,
 		Workers:   r.Set.Workers,
 		Seed:      r.Set.Seed,
-
-		DisableCompile: r.Set.DisableCompile,
 	}
 	run, err := cascade.NewRun(cfg)
 	if err != nil {

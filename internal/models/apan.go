@@ -45,14 +45,6 @@ func NewAPAN(ds *graph.Dataset, memoryDim, timeDim int, seed int64) *APAN {
 // Name implements TGNN.
 func (m *APAN) Name() string { return "APAN" }
 
-// SetCompile implements Compilable: fused time encoder, mailbox projection,
-// and transformer updater.
-func (m *APAN) SetCompile(on bool) {
-	m.timeEnc.SetFused(on)
-	m.inProj.SetFused(on)
-	m.updater.SetFused(on)
-}
-
 // Reset implements TGNN.
 func (m *APAN) Reset() {
 	m.resetBase()

@@ -44,14 +44,6 @@ func NewDySAT(ds *graph.Dataset, memoryDim, timeDim int, seed int64) *DySAT {
 // Name implements TGNN.
 func (m *DySAT) Name() string { return "DySAT" }
 
-// SetCompile implements Compilable: fused time encoder, structural GAT, and
-// temporal RNN (whose fused step handles the x==h aliasing of Embed).
-func (m *DySAT) SetCompile(on bool) {
-	m.timeEnc.SetFused(on)
-	m.structural.SetFused(on)
-	m.temporal.SetFused(on)
-}
-
 // Reset implements TGNN.
 func (m *DySAT) Reset() { m.resetBase() }
 

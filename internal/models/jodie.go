@@ -42,14 +42,6 @@ func NewJODIE(ds *graph.Dataset, memoryDim, timeDim int, seed int64) *JODIE {
 // Name implements TGNN.
 func (m *JODIE) Name() string { return "JODIE" }
 
-// SetCompile implements Compilable: fused time encoder, message MLP, and RNN
-// updater.
-func (m *JODIE) SetCompile(on bool) {
-	m.timeEnc.SetFused(on)
-	m.msg.SetFused(on)
-	m.updater.SetFused(on)
-}
-
 // Reset implements TGNN.
 func (m *JODIE) Reset() { m.resetBase() }
 

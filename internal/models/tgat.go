@@ -69,15 +69,6 @@ func NewTGAT2Hop(ds *graph.Dataset, memoryDim, timeDim, k2 int, seed int64) *TGA
 // Name implements TGNN.
 func (m *TGAT) Name() string { return m.cfg.Name }
 
-// SetCompile implements Compilable: fused time encoder, both GAT layers, and
-// the inter-layer neighbor projection.
-func (m *TGAT) SetCompile(on bool) {
-	m.timeEnc.SetFused(on)
-	m.gat1.SetFused(on)
-	m.neighProj.SetFused(on)
-	m.gat2.SetFused(on)
-}
-
 // Reset implements TGNN.
 func (m *TGAT) Reset() { m.resetBase() }
 

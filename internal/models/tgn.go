@@ -45,14 +45,6 @@ func NewTGN(ds *graph.Dataset, memoryDim, timeDim int, seed int64) *TGN {
 // Name implements TGNN.
 func (m *TGN) Name() string { return "TGN" }
 
-// SetCompile implements Compilable: fused time encoder, GRU updater, and GAT
-// embedder.
-func (m *TGN) SetCompile(on bool) {
-	m.timeEnc.SetFused(on)
-	m.updater.SetFused(on)
-	m.embed.SetFused(on)
-}
-
 // Reset implements TGNN.
 func (m *TGN) Reset() { m.resetBase() }
 

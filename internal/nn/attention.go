@@ -23,10 +23,11 @@ type GATLayer struct {
 	fused bool
 }
 
-// SetFused toggles the fused forward path: the projections collapse to
-// single linear nodes, the broadcast/LeakyReLU/mask/softmax score chain to
-// one tensor.GATScoresT node, and the residual combine to tensor.AddReLUT.
-// Bitwise identical to the eager chain.
+// SetFused selects the fused forward path (the default: the projections
+// collapse to single linear nodes, the broadcast/LeakyReLU/mask/softmax score
+// chain to one tensor.GATScoresT node, and the residual combine to
+// tensor.AddReLUT) or the bitwise-identical primitive chain the golden tests
+// use as reference.
 func (g *GATLayer) SetFused(on bool) {
 	g.fused = on
 	g.WSelf.SetFused(on)
@@ -42,6 +43,8 @@ func NewGATLayer(rng *rand.Rand, inDim, outDim int) *GATLayer {
 		WNeigh: NewLinear(rng, inDim, outDim),
 		ASelf:  tensor.Var(xavier(rng, outDim, 1)),
 		ANeigh: tensor.Var(xavier(rng, outDim, 1)),
+
+		fused: true,
 	}
 }
 
@@ -95,9 +98,10 @@ type TransformerLayer struct {
 	fused bool
 }
 
-// SetFused toggles the fused forward path: projections collapse to single
-// linear nodes and the dot/scale/mask/softmax score chain to one
-// tensor.AttnScoresT node. Bitwise identical to the eager chain.
+// SetFused selects the fused forward path (the default: projections collapse
+// to single linear nodes and the dot/scale/mask/softmax score chain to one
+// tensor.AttnScoresT node) or the bitwise-identical primitive chain the golden
+// tests use as reference.
 func (t *TransformerLayer) SetFused(on bool) {
 	t.fused = on
 	t.WQ.SetFused(on)
@@ -116,6 +120,8 @@ func NewTransformerLayer(rng *rand.Rand, dim int) *TransformerLayer {
 		WV:   NewLinear(rng, dim, dim),
 		FF:   NewMLP(rng, ActReLU, dim, dim, dim),
 		Norm: NewLayerNorm(dim),
+
+		fused: true,
 	}
 }
 

@@ -9,9 +9,10 @@ import (
 
 // BenchmarkGRUStep measures one full memory-updater step — GRU forward over
 // a training-sized batch plus backward through the tape — the inner loop of
-// every BeginBatch, on the fused kernel the trainer's compile mode enables
-// by default. -benchmem makes the allocator traffic visible; the tensor
-// arena is judged on driving B/op toward zero here.
+// every BeginBatch, on the fused kernel (the default) and, as the Eager
+// variant, on the primitive reference chain. -benchmem makes the allocator
+// traffic visible; the tensor arena is judged on driving B/op toward zero
+// here.
 func BenchmarkGRUStep(b *testing.B)      { benchGRUStep(b, true) }
 func BenchmarkGRUStepEager(b *testing.B) { benchGRUStep(b, false) }
 

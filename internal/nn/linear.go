@@ -12,12 +12,14 @@ type Linear struct {
 	W, B    *tensor.Tensor
 
 	// fused routes Forward through the single-node fused kernel
-	// (tensor.LinearT). Bitwise identical to the eager chain; enabled by the
-	// trainer's compile mode (see SetFused).
+	// (tensor.LinearT), bitwise identical to the primitive chain. On from
+	// construction; see SetFused.
 	fused bool
 }
 
-// SetFused toggles the fused forward path.
+// SetFused selects the fused kernel (the default) or the primitive op chain.
+// The chain is the reference the fused-kernel golden tests compare against;
+// nothing outside tests selects it.
 func (l *Linear) SetFused(on bool) { l.fused = on }
 
 // NewLinear builds a Glorot-initialized linear layer.
@@ -27,6 +29,8 @@ func NewLinear(rng *rand.Rand, in, out int) *Linear {
 		Out: out,
 		W:   tensor.Var(xavier(rng, in, out)),
 		B:   tensor.Var(tensor.NewMatrix(1, out)),
+
+		fused: true,
 	}
 }
 
@@ -86,9 +90,10 @@ type MLP struct {
 	fused bool
 }
 
-// SetFused toggles the fused forward path: each hidden layer collapses to a
-// single linear+activation node (tensor.LinearActT), the last layer to
-// tensor.LinearT. Bitwise identical to the eager chain.
+// SetFused selects the fused forward path (the default: each hidden layer
+// collapses to a single linear+activation node, tensor.LinearActT, the last
+// layer to tensor.LinearT) or the bitwise-identical primitive chain the
+// golden tests use as reference.
 func (m *MLP) SetFused(on bool) {
 	m.fused = on
 	for _, l := range m.Layers {
@@ -102,7 +107,7 @@ func NewMLP(rng *rand.Rand, act Activation, dims ...int) *MLP {
 	if len(dims) < 2 {
 		panic("nn: MLP needs at least input and output dims")
 	}
-	m := &MLP{Act: act}
+	m := &MLP{Act: act, fused: true}
 	for i := 0; i+1 < len(dims); i++ {
 		m.Layers = append(m.Layers, NewLinear(rng, dims[i], dims[i+1]))
 	}

@@ -16,9 +16,10 @@ type RNNCell struct {
 	fused bool
 }
 
-// SetFused toggles the fused forward path (tensor.RNNStepT): two GEMMs plus a
-// single add+bias+tanh pass in one tape node. Bitwise identical to the eager
-// chain, including when x and h alias the same tensor.
+// SetFused selects the fused forward path (the default; tensor.RNNStepT: two
+// GEMMs plus a single add+bias+tanh pass in one tape node) or the primitive
+// chain the golden tests use as reference. The two are bitwise identical,
+// including when x and h alias the same tensor.
 func (c *RNNCell) SetFused(on bool) { c.fused = on }
 
 // NewRNNCell builds a Glorot-initialized RNN cell.
@@ -29,6 +30,8 @@ func NewRNNCell(rng *rand.Rand, inDim, hiddenDim int) *RNNCell {
 		Wx:        tensor.Var(xavier(rng, inDim, hiddenDim)),
 		Wh:        tensor.Var(xavier(rng, hiddenDim, hiddenDim)),
 		B:         tensor.Var(tensor.NewMatrix(1, hiddenDim)),
+
+		fused: true,
 	}
 }
 
@@ -68,9 +71,9 @@ type GRUCell struct {
 	fused bool
 }
 
-// SetFused toggles the fused forward path (tensor.GRUStepT): three GEMMs plus
-// two fused gate passes in one tape node. Bitwise identical to the eager
-// slice/sigmoid/tanh chain.
+// SetFused selects the fused forward path (the default; tensor.GRUStepT: three
+// GEMMs plus two fused gate passes in one tape node) or the bitwise-identical
+// primitive slice/sigmoid/tanh chain the golden tests use as reference.
 func (c *GRUCell) SetFused(on bool) { c.fused = on }
 
 // NewGRUCell builds a Glorot-initialized GRU cell.
@@ -84,6 +87,8 @@ func NewGRUCell(rng *rand.Rand, inDim, hiddenDim int) *GRUCell {
 		Bz:        tensor.Var(tensor.NewMatrix(1, hiddenDim)),
 		Br:        tensor.Var(tensor.NewMatrix(1, hiddenDim)),
 		Bh:        tensor.Var(tensor.NewMatrix(1, hiddenDim)),
+
+		fused: true,
 	}
 }
 

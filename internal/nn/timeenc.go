@@ -22,9 +22,9 @@ type TimeEncoder struct {
 	fused bool
 }
 
-// SetFused toggles the fused forward path (tensor.TimeEncodeT): outer
-// product, phase add, and cosine in one tape node. Bitwise identical to the
-// eager chain.
+// SetFused selects the fused forward path (the default; tensor.TimeEncodeT:
+// outer product, phase add, and cosine in one tape node) or the
+// bitwise-identical primitive chain the golden tests use as reference.
 func (te *TimeEncoder) SetFused(on bool) { te.fused = on }
 
 // NewTimeEncoder builds a time encoder with log-spaced initial frequencies
@@ -43,6 +43,8 @@ func NewTimeEncoder(rng *rand.Rand, dim int) *TimeEncoder {
 		Dim:   dim,
 		Omega: tensor.Var(om),
 		Phase: tensor.Var(tensor.NewMatrix(1, dim)),
+
+		fused: true,
 	}
 }
 

@@ -87,26 +87,3 @@ func TestDetachCopies(t *testing.T) {
 		}
 	}
 }
-
-// TestStaticSlabSurvivesRelease pins the plan-slab contract: Release on a
-// static matrix is a no-op (no pooling, no tripwire), so FreeGraph may walk
-// a rearmed plan node every batch without poisoning plan storage.
-func TestStaticSlabSurvivesRelease(t *testing.T) {
-	m := NewStatic(2, 3)
-	m.Fill(42)
-	m.Release()
-	if m.Released() {
-		t.Fatal("static matrix must not report released")
-	}
-	m.Release() // second release must not panic either
-	for _, v := range m.Data {
-		if v != 42 {
-			t.Fatalf("static slab corrupted: %v", v)
-		}
-	}
-	w := WrapStatic(make([]float32, 6), 3, 2)
-	w.Release()
-	if w.Data == nil {
-		t.Fatal("WrapStatic storage must survive Release")
-	}
-}

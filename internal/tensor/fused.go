@@ -11,7 +11,7 @@ import "math"
 // topological order — so fused and eager execution are bitwise identical
 // (pinned by the golden tests in fused_test.go).
 //
-// Bit-exactness ground rules, shared with internal/plan:
+// Bit-exactness ground rules:
 //   - Every eager intermediate gradient is a pool-zeroed buffer accumulated
 //     with `+=`; `0 + v` maps −0 to +0. Fused kernels either materialize the
 //     same zero-then-accumulate buffer or skip the copy when the source is
@@ -23,8 +23,7 @@ import "math"
 //   - Accumulation ORDER into any gradient buffer shared with other tape
 //     nodes matches the eager reversed-DFS schedule (derived per op below).
 
-// Act selects the activation fused into LinearActT and the plan executor's
-// linear kernels.
+// Act selects the activation fused into LinearActT.
 type Act int
 
 // Fused activation kinds.
@@ -99,54 +98,6 @@ func ColSumsAccum(dst, g *Matrix) {
 	}
 }
 
-// GatherRowsInto copies src rows selected by idx into dst (len(idx) × Cols).
-func GatherRowsInto(dst, src *Matrix, idx []int) {
-	for r, i := range idx {
-		copy(dst.Row(r), src.Row(i))
-	}
-}
-
-// ScatterRowsAccum accumulates dst.Row(idx[r]) += g.Row(r), r ascending —
-// GatherRowsT's backward kernel (duplicate indices accumulate in row order).
-func ScatterRowsAccum(dst, g *Matrix, idx []int) {
-	for r, i := range idx {
-		grow := g.Row(r)
-		drow := dst.Row(i)
-		for j := range grow {
-			drow[j] += grow[j]
-		}
-	}
-}
-
-// BCEForward returns the mean stable binary cross-entropy of logits vs
-// targets — the exact forward loop of BCEWithLogitsT.
-func BCEForward(logits, targets *Matrix) float32 {
-	n := float32(len(logits.Data))
-	var total float32
-	for i, x := range logits.Data {
-		y := targets.Data[i]
-		m := x
-		if m < 0 {
-			m = 0
-		}
-		ax := x
-		if ax < 0 {
-			ax = -ax
-		}
-		total += m - x*y + float32(math.Log1p(math.Exp(float64(-ax))))
-	}
-	return total / n
-}
-
-// BCEBackwardAccum accumulates gl += g·(σ(x) − y) with g already divided by
-// the element count — the exact backward loop of BCEWithLogitsT.
-func BCEBackwardAccum(gl, logits, targets *Matrix, g float32) {
-	for i, x := range logits.Data {
-		y := targets.Data[i]
-		gl.Data[i] += g * (sigmoid(x) - y)
-	}
-}
-
 // launder maps −0 to +0, replicating accumulation into a zeroed buffer
 // (0 + −0 = +0) without materializing the buffer.
 func launder(v float32) float32 {
@@ -196,7 +147,6 @@ func LinearActT(x, w, b *Tensor, act Act) *Tensor {
 			gpre.Release()
 		}
 	}, x, w, b)
-	out.meta = act
 	return out
 }
 

@@ -38,26 +38,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return m
 }
 
-// NewStatic returns a zeroed rows×cols matrix whose storage is owned by a
-// compiled plan: it bypasses the arena entirely and Release on it is a no-op,
-// so the same slab survives FreeGraph across replays (see pool.go).
-func NewStatic(rows, cols int) *Matrix {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("tensor: negative matrix dims %dx%d", rows, cols))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, rows*cols), state: matrixStatic}
-}
-
-// WrapStatic wraps data (row-major) as a plan-owned rows×cols matrix with the
-// same no-op Release semantics as NewStatic. Plans carve several instruction
-// outputs out of one slab with it.
-func WrapStatic(data []float32, rows, cols int) *Matrix {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: WrapStatic got %d values for %dx%d", len(data), rows, cols))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: data, state: matrixStatic}
-}
-
 // FromSlice wraps data (row-major) as a rows×cols matrix. The slice is used
 // directly, not copied.
 func FromSlice(rows, cols int, data []float32) *Matrix {

@@ -291,7 +291,6 @@ func GatherRowsT(a *Tensor, idx []int) *Tensor {
 			}
 		}
 	}, a)
-	out.meta = idx // the plan capturer (internal/plan) replays the gather
 	return out
 }
 

@@ -149,7 +149,6 @@ func PoolDrain() {
 const (
 	matrixPooled   uint8 = 1 << iota // storage may be returned to the pool
 	matrixReleased                   // Release was called; Data is nil
-	matrixStatic                     // plan-owned slab: Release is a no-op
 )
 
 // Release returns the matrix's storage to the arena. Only the owner of an
@@ -159,13 +158,6 @@ const (
 // FreeGraph releases a whole tape.
 func (m *Matrix) Release() {
 	if m == nil {
-		return
-	}
-	if m.state&matrixStatic != 0 {
-		// Plan-owned slab assignment: storage lives for the plan's lifetime
-		// and is reused bitwise-in-place every replay. FreeGraph may still
-		// reach it through a rearmed plan node; releasing must neither pool
-		// the slab nor trip the double-release tripwire on the next step.
 		return
 	}
 	if m.state&matrixReleased != 0 {

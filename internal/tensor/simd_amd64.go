@@ -8,7 +8,7 @@ package tensor
 // these vector routines when the host supports them. Eight-lane FMA changes
 // the order float32 products are rounded and summed in, so results differ
 // in final bits from the scalar path — but every numerical pin in this
-// repository (fused-vs-eager goldens, plan replay, staleness equivalence)
+// repository (fused-vs-primitive goldens, prefetch and staleness equivalence)
 // compares two executions of the same build, which share one kernel choice.
 
 // useAVX2 gates the vector kernels on AVX2 + FMA + OS support for YMM

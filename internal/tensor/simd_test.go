@@ -10,8 +10,8 @@ import (
 // they are not bitwise against the scalar definitions — the contract is
 // agreement within float32 rounding noise, checked over ragged lengths that
 // exercise both the eight-lane body and the scalar tail. (Bitwise pins live
-// one level up: fused-vs-eager and plan-vs-eager comparisons always run the
-// same kernel choice on both sides.)
+// one level up: fused-vs-primitive comparisons always run the same kernel
+// choice on both sides.)
 func TestSimdKernelsMatchPortable(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("vector kernels not active on this host")

@@ -28,16 +28,6 @@ func (s *TapeStats) Add(other TapeStats) {
 	}
 }
 
-// PlanCost is the pre-computed tape cost a compiled plan node carries as its
-// meta: the plan executor runs a fixed instruction program, so its stats are
-// computed once at compile time instead of per-batch graph walks.
-type PlanCost struct {
-	Kernels int
-	Flops   float64
-	RowSum  int64
-	MaxRows int
-}
-
 // StatsOf walks the full forward tape (including constant-input subgraphs —
 // those kernels run regardless of gradient requirements) and returns its
 // statistics.
@@ -49,11 +39,7 @@ func StatsOf(root *Tensor) TapeStats {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if n.op == "plan" {
-			if c, ok := n.meta.(PlanCost); ok {
-				s.Add(TapeStats{Kernels: c.Kernels, Flops: c.Flops, RowSum: c.RowSum, MaxRows: c.MaxRows})
-			}
-		} else if n.op != "var" && n.op != "const" {
+		if n.op != "var" && n.op != "const" {
 			s.Kernels++
 			s.Flops += nodeFlops(n)
 			rows := n.Value.Rows

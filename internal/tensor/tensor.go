@@ -30,17 +30,6 @@ type Tensor struct {
 	scratchBufs []*Matrix
 	// freed makes FreeGraph idempotent per node.
 	freed bool
-
-	// planFast marks a rearm-able plan node (see NewPlanNode) whose backFn
-	// covers the entire backward pass: Backward skips the topological sort
-	// and runs the single closure. Only set when the node has no graph
-	// inputs (the plan owns every upstream gradient).
-	planFast bool
-
-	// meta carries op-specific side data for tape inspectors (tapestats) and
-	// the plan capturer: gather indices, slice offsets, activation kinds,
-	// plan cost summaries. Nil for most nodes.
-	meta any
 }
 
 // Var wraps m as a leaf tensor that participates in gradient computation
@@ -71,20 +60,6 @@ func (t *Tensor) retainScratch(aux ...*Matrix) {
 // RequiresGrad reports whether gradients flow into this tensor.
 func (t *Tensor) RequiresGrad() bool { return t.requiresGrad }
 
-// Op returns the name of the operation that produced this tensor.
-func (t *Tensor) Op() string { return t.op }
-
-// Inputs returns the node's tape inputs. The slice is the tape's own edge
-// list — callers (the plan capturer) must not mutate it.
-func (t *Tensor) Inputs() []*Tensor { return t.inputs }
-
-// Meta returns op-specific side data attached by the producing op (gather
-// indices, slice offsets, activation kinds), or nil.
-func (t *Tensor) Meta() any { return t.meta }
-
-// SetMeta attaches op-specific side data for tape inspectors.
-func (t *Tensor) SetMeta(m any) { t.meta = m }
-
 // Rows returns the row count of the tensor's value.
 func (t *Tensor) Rows() int { return t.Value.Rows }
 
@@ -114,16 +89,6 @@ func (t *Tensor) ensureGrad() *Matrix {
 	return t.Grad
 }
 
-// EnsureGrad exposes ensureGrad for external executors (internal/plan): a
-// compiled plan's backward accumulates into boundary and parameter gradients
-// exactly as eager backFns do, via the same on-demand pool-zeroed buffer.
-func (t *Tensor) EnsureGrad() *Matrix { return t.ensureGrad() }
-
-// RetainScratch exposes retainScratch for external executors: matrices the
-// caller wants released with the node by FreeGraph (e.g. a replayed plan's
-// per-batch target matrix).
-func (t *Tensor) RetainScratch(aux ...*Matrix) { t.retainScratch(aux...) }
-
 // newNode builds a non-leaf tensor. The node requires grad iff any input
 // does; backFn is only retained in that case.
 func newNode(op string, value *Matrix, backFn func(), inputs ...*Tensor) *Tensor {
@@ -141,35 +106,6 @@ func newNode(op string, value *Matrix, backFn func(), inputs ...*Tensor) *Tensor
 	return n
 }
 
-// NewPlanNode builds an empty rearm-able tape node for a compiled plan. The
-// plan executor Rearms it each step with the step's static loss value and a
-// backward closure covering the whole captured program, so steady-state
-// replay allocates no tape nodes.
-func NewPlanNode(op string) *Tensor {
-	return &Tensor{op: op, requiresGrad: true}
-}
-
-// Rearm resets a plan node for another replay: value becomes the forward
-// result, inputs the graph tensors the plan's backward feeds gradients into
-// (typically the model embedding), and back the plan's backward closure.
-// fast marks a node with no live upstream tape, letting Backward skip the
-// topological sort entirely.
-func (t *Tensor) Rearm(value *Matrix, inputs []*Tensor, back func(), fast bool) {
-	t.Value = value
-	t.inputs = inputs
-	t.backFn = back
-	t.requiresGrad = true
-	t.planFast = fast
-	t.freed = false
-}
-
-// RearmConst resets a leaf const tensor with a new value so replay loops can
-// reuse the node header instead of minting a fresh Const per step.
-func (t *Tensor) RearmConst(m *Matrix) {
-	t.Value = m
-	t.freed = false
-}
-
 // Backward runs reverse-mode differentiation from t, which must be a scalar
 // (1×1) tensor, typically a loss. Gradients accumulate into .Grad of every
 // tensor on the tape that requires grad. Call Optimizer.ZeroGrad (or clear
@@ -180,15 +116,6 @@ func (t *Tensor) Backward() {
 	}
 	if !t.requiresGrad {
 		return // nothing on the tape requires grad; loss of constants
-	}
-	if t.planFast && len(t.inputs) == 0 {
-		// Compiled plan with no upstream tape: the plan's backward closure is
-		// the entire reverse pass, so skip the sort and its allocations.
-		t.ensureGrad().Fill(1)
-		if t.backFn != nil {
-			t.backFn()
-		}
-		return
 	}
 	order := topoSort(t)
 	t.ensureGrad().Fill(1)

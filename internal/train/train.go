@@ -20,7 +20,6 @@ import (
 	"github.com/cascade-ml/cascade/internal/models"
 	"github.com/cascade-ml/cascade/internal/nn"
 	"github.com/cascade-ml/cascade/internal/obs"
-	"github.com/cascade-ml/cascade/internal/plan"
 	"github.com/cascade-ml/cascade/internal/resilience/faultinject"
 	"github.com/cascade-ml/cascade/internal/tensor"
 )
@@ -94,17 +93,6 @@ type Config struct {
 	// (fully-applied) memories regardless of s. Requires the model to
 	// implement models.PartialBeginner (all built-in models do).
 	Staleness int
-	// Compile turns on the plan capture/compile/execute pipeline (DESIGN.md
-	// §13): the first batch of each shape runs eagerly while the trainer
-	// records the prediction-head tape into a compiled Plan — adjacent
-	// element-wise chains fused into single-loop kernels, every intermediate
-	// pre-assigned a static slab — and every later batch with the same shape
-	// replays the plan with zero tape-node allocations and zero arena
-	// size-class lookups. It also switches the model's modules to their
-	// fused forward implementations (models.Compilable). Replay is
-	// bitwise-identical to the eager head (TestCompileMatchesEager); shapes
-	// the compiler does not understand fall back to eager permanently.
-	Compile bool
 }
 
 // BatchTrace is the per-batch instrumentation record. It is what
@@ -165,10 +153,7 @@ type BatchTrace struct {
 	StaleServed  int `json:"stale_served"`
 	StaleForced  int `json:"stale_forced"`
 	StaleApplied int `json:"stale_applied"`
-	// Plan-cache accounting (all zero when Config.Compile is off): PlanHit
-	// is 1 when this batch's prediction head replayed a compiled plan and 0
-	// when it ran eagerly (first sight of a shape, or a fallback);
-	// PlanFusedOps counts the fused kernels the replay executed.
+	// PlanHit and PlanFusedOps are always zero; benchmark/trainlog.go reads them.
 	PlanHit      int `json:"plan_hit"`
 	PlanFusedOps int `json:"plan_fused_ops"`
 }
@@ -237,52 +222,7 @@ type Trainer struct {
 	staleNeed map[int32]bool
 	staleList []int32
 	stale     staleStats
-
-	// Plan capture/compile/execute state (all nil/zero when Config.Compile
-	// is off — the eager hot path never touches it). plans caches compiled
-	// prediction-head programs keyed by batch shape; a nil value is a
-	// tombstone for a shape whose tape failed to compile, so the trainer
-	// stays eager for it without retrying. planOrder is the FIFO eviction
-	// order; planLogits is the recycled const header wrapping a replayed
-	// plan's logits slab; planBatch is the last batch's plan accounting for
-	// the obs registry, span attributes and BatchTrace.
-	plans      map[planKey]*plan.Plan
-	planOrder  []planKey
-	planLogits *tensor.Tensor
-	planBatch  planBatchStats
 }
-
-// planKey identifies one batch shape. Task plus event count determine the
-// whole head tape: the gather index vectors, concat widths and target layout
-// are all derived from the batch size, and the embedding width is fixed by
-// the model. hReq distinguishes grad-bearing boundaries from constant ones
-// (e.g. APAN's identity embedder outside a memory-update batch).
-type planKey struct {
-	task Task
-	size int
-	hReq bool
-}
-
-// planBatchStats is one batch's plan-cache accounting.
-type planBatchStats struct {
-	hit      bool // head replayed a compiled plan
-	miss     bool // shape never seen: ran eagerly, then captured
-	fallback bool // tombstoned shape or guard mismatch: stayed eager
-	fusedOps int  // fused kernels the replay executed
-}
-
-// planHitInt is planBatchStats.hit as a BatchTrace field.
-func planHitInt(hit bool) int {
-	if hit {
-		return 1
-	}
-	return 0
-}
-
-// planCacheCap bounds the shape-keyed plan cache. Adaptive schedulers emit a
-// drifting batch-size sequence; FIFO eviction keeps the static slabs of at
-// most this many shapes alive.
-const planCacheCap = 64
 
 // staleStats is one batch's bounded-staleness accounting.
 type staleStats struct {
@@ -362,20 +302,15 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 	opt := nn.NewAdam(params, cfg.LR)
 	opt.GradClip = 5
 	t := &Trainer{cfg: cfg, predictor: predictor, opt: opt, rng: rng, rngSrc: src}
-	if cfg.Compile {
-		// The predictor head deliberately stays unfused: plan capture reads
-		// its primitive tape, and compiled replay bypasses it entirely. Only
-		// the model-side modules (whose tape the plan treats as an opaque
-		// boundary) switch to fused kernels.
-		if c, ok := cfg.Model.(models.Compilable); ok {
-			c.SetCompile(true)
-		}
-		t.plans = make(map[planKey]*plan.Plan)
-	}
 	if cfg.Staleness > 0 {
 		t.ledger = memstore.NewStalenessLedger(cfg.Data.NumNodes)
 		t.partial = partial
 		t.staleNeed = make(map[int32]bool)
+		// Help takes the registry mutex, so it is registered here and not per
+		// batch in recordBatchObs.
+		cfg.Obs.Help("train_staleness_served_total", "Anchor memory reads served ≥ 1 update round behind (bounded-staleness pipeline).")
+		cfg.Obs.Help("train_staleness_forced_total", "Anchors force-applied because one more deferred round would exceed the staleness budget.")
+		cfg.Obs.Help("train_staleness_rounds", "Worst staleness (in update rounds) served per batch; bounded by train_staleness_budget.")
 	}
 	return t, nil
 }
@@ -602,8 +537,6 @@ func (t *Trainer) TrainEpochChecked() (EpochStats, error) {
 				PoolMisses: pool.Misses, PoolFloatsRecycled: pool.FloatsRecycled,
 				StaleServed: t.stale.served, StaleForced: t.stale.forced,
 				StaleApplied: t.stale.applied,
-				PlanHit:      planHitInt(t.planBatch.hit),
-				PlanFusedOps: t.planBatch.fusedOps,
 			})
 		}
 		root.SetFloat("loss", loss)
@@ -751,27 +684,6 @@ func (t *Trainer) recordBatchObs(loss float64, size int, tape tensor.TapeStats, 
 		r.Counter("train_staleness_forced_total").Add(int64(t.stale.forced))
 		r.Counter("train_staleness_applied_total").Add(int64(t.stale.applied))
 		r.Histogram("train_staleness_rounds", 0, 1, 2, 4, 8, 16).Observe(float64(t.stale.maxRounds))
-		r.Help("train_staleness_served_total", "Anchor memory reads served ≥ 1 update round behind (bounded-staleness pipeline).")
-		r.Help("train_staleness_forced_total", "Anchors force-applied because one more deferred round would exceed the staleness budget.")
-		r.Help("train_staleness_rounds", "Worst staleness (in update rounds) served per batch; bounded by train_staleness_budget.")
-	}
-	if t.plans != nil {
-		b2i := func(b bool) int64 {
-			if b {
-				return 1
-			}
-			return 0
-		}
-		r.Counter("train_plan_hits_total").Add(b2i(t.planBatch.hit))
-		r.Counter("train_plan_misses_total").Add(b2i(t.planBatch.miss))
-		r.Counter("train_plan_fallbacks_total").Add(b2i(t.planBatch.fallback))
-		r.Counter("train_plan_fused_ops_total").Add(int64(t.planBatch.fusedOps))
-		r.Gauge("train_plan_cache_size").Set(float64(len(t.plans)))
-		r.Help("train_plan_hits_total", "Training batches whose prediction head replayed a compiled plan (shape-keyed cache hit).")
-		r.Help("train_plan_misses_total", "Training batches that ran the eager head on first sight of a shape; a plan capture followed.")
-		r.Help("train_plan_fallbacks_total", "Training batches that stayed eager on a tombstoned shape or a failed replay guard.")
-		r.Help("train_plan_fused_ops_total", "Fused kernels executed by compiled-plan replays (each replaces a multi-op eager chain).")
-		r.Help("train_plan_cache_size", "Compiled plans (including tombstones) currently cached, bounded by the FIFO cap.")
 	}
 }
 
@@ -924,9 +836,6 @@ func (t *Trainer) prepareClass(events []graph.Event, labels []uint8) *preparedBa
 // update and forward pass as child spans.
 func (t *Trainer) forwardPrepared(prep *preparedBatch, parent *obs.Span) (loss, logits *tensor.Tensor, upd *models.MemoryUpdate, tape tensor.TapeStats, tm stageTiming) {
 	model := t.cfg.Model
-	if t.plans != nil {
-		t.planBatch = planBatchStats{}
-	}
 	// Step 0 (lazy message application, see internal/models): previous
 	// batch's messages update memories on the tape. Under a staleness
 	// budget, training batches apply only the anchors that would otherwise
@@ -953,98 +862,21 @@ func (t *Trainer) forwardPrepared(prep *preparedBatch, parent *obs.Span) (loss, 
 		esp.SetInt("stale_max_rounds", int64(t.stale.maxRounds))
 	}
 	h := model.Embed(prep.nodes, prep.ts)
-	if t.plans != nil {
-		loss, logits = t.planApply(prep, h)
+	if prep.task == TaskNodeClassification {
+		logits = t.predictor.Forward(h)
+	} else {
+		hSrc := tensor.GatherRowsT(h, prep.srcIdx)
+		posLogits := t.predictor.Forward(tensor.ConcatColsT(hSrc, tensor.GatherRowsT(h, prep.dstIdx)))
+		negLogits := t.predictor.Forward(tensor.ConcatColsT(hSrc, tensor.GatherRowsT(h, prep.negIdx)))
+		logits = tensor.ConcatRowsT(posLogits, negLogits)
 	}
-	if loss == nil {
-		if prep.task == TaskNodeClassification {
-			logits = t.predictor.Forward(h)
-		} else {
-			hSrc := tensor.GatherRowsT(h, prep.srcIdx)
-			posLogits := t.predictor.Forward(tensor.ConcatColsT(hSrc, tensor.GatherRowsT(h, prep.dstIdx)))
-			negLogits := t.predictor.Forward(tensor.ConcatColsT(hSrc, tensor.GatherRowsT(h, prep.negIdx)))
-			logits = tensor.ConcatRowsT(posLogits, negLogits)
-		}
-		loss = tensor.BCEWithLogitsT(logits, tensor.ConstScratch(prep.targets))
-		if t.plans != nil {
-			t.planCompile(prep, loss, h)
-		}
-	}
+	loss = tensor.BCEWithLogitsT(logits, tensor.ConstScratch(prep.targets))
 	tape = tensor.StatsOf(loss)
 	esp.SetInt("tape_kernels", int64(tape.Kernels))
 	esp.SetFloat("tape_flops", tape.Flops)
-	if t.plans != nil {
-		var hit int64
-		if t.planBatch.hit {
-			hit = 1
-			esp.SetInt("plan_fused_ops", int64(t.planBatch.fusedOps))
-		}
-		esp.SetInt("plan_hit", hit)
-	}
 	esp.End()
 	tm.Embed = time.Since(mark)
 	return loss, logits, upd, tape, tm
-}
-
-// planApply replays the cached compiled plan for the batch's shape,
-// returning the plan's loss node and a logits view, or (nil, nil) to route
-// the batch through the eager head: the shape was never seen (a capture
-// follows this batch), the shape is tombstoned, or a runtime guard failed.
-// The plan node goes through Backward/FreeTape exactly like an eager loss;
-// consumers of the logits (scoreBatch, stepClassOn) already copy the data
-// out within the batch, which is all a static slab requires.
-func (t *Trainer) planApply(prep *preparedBatch, h *tensor.Tensor) (loss, logits *tensor.Tensor) {
-	key := planKey{task: prep.task, size: len(prep.events), hReq: h.RequiresGrad()}
-	pl, ok := t.plans[key]
-	if !ok {
-		t.planBatch.miss = true
-		return nil, nil
-	}
-	if pl == nil {
-		t.planBatch.fallback = true
-		return nil, nil
-	}
-	out := pl.Apply(h, prep.targets)
-	if out == nil {
-		t.planBatch.fallback = true
-		return nil, nil
-	}
-	// The batch's targets join the node's scratch set so FreeTape recycles
-	// them with the tape, exactly as the eager head's ConstScratch leaf does.
-	out.RetainScratch(prep.targets)
-	t.planBatch.hit = true
-	t.planBatch.fusedOps = pl.FusedOps()
-	if t.planLogits == nil {
-		t.planLogits = tensor.Const(pl.Logits())
-	} else {
-		t.planLogits.RearmConst(pl.Logits())
-	}
-	return out, t.planLogits
-}
-
-// planCompile captures the eager head tape just built for a shape the cache
-// has not seen, storing the compiled plan — or a nil tombstone when the tape
-// contains an op the compiler does not understand, so the shape runs eagerly
-// from then on without re-attempting capture. Called before Backward: the
-// capturer only reads the tape's structure and the compiled slabs are not
-// written until the first Apply.
-func (t *Trainer) planCompile(prep *preparedBatch, loss, h *tensor.Tensor) {
-	key := planKey{task: prep.task, size: len(prep.events), hReq: h.RequiresGrad()}
-	if _, ok := t.plans[key]; ok {
-		// Tombstoned, or a guard mismatch fell back past a live plan.
-		return
-	}
-	pl, err := plan.Compile(loss, h)
-	if err != nil {
-		pl = nil
-	}
-	if len(t.planOrder) >= planCacheCap {
-		delete(t.plans, t.planOrder[0])
-		n := copy(t.planOrder, t.planOrder[1:])
-		t.planOrder = t.planOrder[:n]
-	}
-	t.plans[key] = pl
-	t.planOrder = append(t.planOrder, key)
 }
 
 // beginStale is BeginBatch under a bounded-staleness budget s: scan the

@@ -1,7 +1,9 @@
 package train
 
 import (
+	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/cascade-ml/cascade/internal/batching"
@@ -446,5 +448,37 @@ func TestTrainObsMetrics(t *testing.T) {
 	}
 	if r.Counter("train_alloc_matrices_total").Value() <= 0 {
 		t.Fatal("no allocations recorded")
+	}
+}
+
+// TestStalenessHelpRegisteredOnce pins that the train_staleness_* HELP texts
+// are set when the trainer is built and never again: Help takes the registry
+// mutex, which has no place on the per-batch path. A sentinel written after
+// NewTrainer must survive an epoch.
+func TestStalenessHelpRegisteredOnce(t *testing.T) {
+	full, tr, val := trainValData(t)
+	r := obs.NewRegistry()
+	trainer, err := NewTrainer(Config{
+		Model: models.MustNew("TGN", full, 8, 4, 1),
+		Sched: batching.NewFixed("TGL", tr.NumEvents(), 60),
+		Data:  tr, Val: val, Seed: 9, Obs: r, Staleness: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Help("train_staleness_rounds", "sentinel")
+	trainer.TrainEpoch()
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# HELP train_staleness_rounds sentinel\n",
+		"# HELP train_staleness_served_total Anchor memory reads",
+		"# HELP train_staleness_forced_total Anchors force-applied",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("exposition lacks %q", want)
+		}
 	}
 }

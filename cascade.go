@@ -33,7 +33,6 @@ import (
 	"github.com/cascade-ml/cascade/internal/batching"
 	"github.com/cascade-ml/cascade/internal/core"
 	"github.com/cascade-ml/cascade/internal/device"
-	"github.com/cascade-ml/cascade/internal/distributed"
 	"github.com/cascade-ml/cascade/internal/graph"
 	"github.com/cascade-ml/cascade/internal/graph/datagen"
 	"github.com/cascade-ml/cascade/internal/models"
@@ -261,7 +260,7 @@ func NewRun(cfg RunConfig) (*Run, error) {
 	}
 	if !cfg.SkipDevice {
 		dev := DevicePreset(cfg.Scheduler)
-		dev.Obs = cfg.Obs
+		dev.Attach(cfg.Obs)
 		tc.Device = &dev
 	}
 	r.trainer, err = train.NewTrainer(tc)
@@ -341,8 +340,7 @@ type TracerOptions = obs.TracerOptions
 type ChromeTraceWriter = obs.ChromeTraceWriter
 
 // FlightRecorder re-exports the always-on crash-evidence ring buffer (the
-// -flight-dir flag; dumps on health rollback, replica eviction and breaker
-// open).
+// -flight-dir flag; dumps on health rollback and breaker open).
 type FlightRecorder = obs.FlightRecorder
 
 // NewTracer builds a span tracer from its consumers.
@@ -478,79 +476,4 @@ func prefixParams(prefix string, params []nn.Param) []nn.Param {
 		out[i] = nn.Param{Name: prefix + "." + p.Name, T: p.T}
 	}
 	return out
-}
-
-// DistributedConfig configures data-parallel training (see
-// internal/distributed): Replicas trainers consume disjoint temporal shards
-// and average weights each epoch, DistTGL-style. UseCascade switches every
-// replica from fixed batching to its own Cascade scheduler.
-type DistributedConfig struct {
-	Dataset            *Dataset
-	Replicas           int
-	Model              string
-	UseCascade         bool
-	BaseBatch          int
-	Epochs             int
-	MemoryDim, TimeDim int
-	LR                 float32
-	Seed               int64
-	Workers            int
-	// EpochTimeout bounds how long the epoch barrier waits for any replica;
-	// slower replicas are evicted and the run degrades to the survivors.
-	// 0 waits forever.
-	EpochTimeout time.Duration
-	// Rejoin lets an evicted replica re-enter the run at a later epoch
-	// boundary by adopting the fleet's latest averaged checkpoint.
-	Rejoin bool
-	// CheckpointDir, when set, persists the post-averaging checkpoint there
-	// each epoch (crash-safe files); rejoining replicas restore from the
-	// newest file instead of process memory.
-	CheckpointDir string
-	// Obs, when non-nil, receives eviction/rejoin/sync metrics.
-	Obs *Registry
-	// Tracer, when non-nil, instruments every replica's batches plus the
-	// epoch barrier and weight averaging with spans.
-	Tracer *Tracer
-	// Recorder, when non-nil, dumps the span ring on replica eviction.
-	Recorder *FlightRecorder
-}
-
-// DistributedResult reports a distributed run.
-type DistributedResult struct {
-	ReplicaLosses [][]float64
-	ValLoss       float64
-	WallTime      time.Duration
-	SyncCount     int
-	// Evicted lists replicas dropped for dying or missing the epoch barrier.
-	Evicted []int
-	// Rejoined lists evicted replicas that re-entered via the rejoin path.
-	Rejoined []int
-}
-
-// TrainDistributed runs synchronous data-parallel training.
-func TrainDistributed(cfg DistributedConfig) (*DistributedResult, error) {
-	kind := distributed.SchedFixed
-	if cfg.UseCascade {
-		kind = distributed.SchedCascade
-	}
-	res, err := distributed.Train(distributed.Config{
-		Dataset: cfg.Dataset, Replicas: cfg.Replicas, Model: cfg.Model,
-		Scheduler: kind, BaseBatch: cfg.BaseBatch, Epochs: cfg.Epochs,
-		MemoryDim: cfg.MemoryDim, TimeDim: cfg.TimeDim,
-		LR: cfg.LR, Seed: cfg.Seed, Workers: cfg.Workers,
-		EpochTimeout: cfg.EpochTimeout,
-		Rejoin:       cfg.Rejoin, CheckpointDir: cfg.CheckpointDir,
-		Obs: cfg.Obs, Tracer: cfg.Tracer, Recorder: cfg.Recorder,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &DistributedResult{
-		ReplicaLosses: res.ReplicaLosses,
-		ValLoss:       res.ValLoss,
-		WallTime:      res.WallTime,
-		SyncCount:     res.SyncCount,
-		Evicted:       res.Evicted,
-		Rejoined:      res.Rejoined,
-	}, nil
 }

@@ -182,26 +182,6 @@ func TestScoreEdges(t *testing.T) {
 	}
 }
 
-func TestTrainDistributedFacade(t *testing.T) {
-	ds := GenerateDataset("WIKI", 0.002, 7)
-	res, err := TrainDistributed(DistributedConfig{
-		Dataset: ds, Replicas: 2, Model: "JODIE", UseCascade: true,
-		BaseBatch: 40, Epochs: 2, MemoryDim: 8, TimeDim: 4, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SyncCount != 2 || len(res.ReplicaLosses) != 2 {
-		t.Fatalf("distributed result %+v", res)
-	}
-	if res.ValLoss <= 0 || math.IsNaN(res.ValLoss) {
-		t.Fatalf("val loss %v", res.ValLoss)
-	}
-	if _, err := TrainDistributed(DistributedConfig{}); err == nil {
-		t.Fatal("empty distributed config accepted")
-	}
-}
-
 func TestRunConfigNodeClassification(t *testing.T) {
 	ds := GenerateDataset("MOOC", 1000.0/411749.0, 7)
 	run, err := NewRun(RunConfig{

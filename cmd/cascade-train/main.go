@@ -8,12 +8,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"github.com/cascade-ml/cascade"
 	"github.com/cascade-ml/cascade/internal/resilience"
@@ -46,11 +44,8 @@ func main() {
 	ckptKeep := flag.Int("checkpoint-keep", 3, "on-disk checkpoint retention (newest N)")
 	resume := flag.Bool("resume", false, "resume from the newest checkpoint in -checkpoint-dir")
 	health := flag.Bool("health", false, "enable the numerical-health monitor (NaN/exploding-gradient rollback with LR backoff)")
-	replicas := flag.Int("replicas", 1, "data-parallel replicas; >1 switches to distributed training with epoch-boundary weight averaging")
-	epochTimeout := flag.Duration("epoch-timeout", 0, "distributed epoch-barrier deadline; stragglers past it are evicted (0 waits forever)")
-	rejoin := flag.Bool("rejoin", false, "let evicted replicas rejoin from the latest averaged checkpoint (distributed mode; pairs with -checkpoint-dir for on-disk restore)")
 	traceChrome := flag.String("trace-chrome", "", "write a Chrome trace-event JSON file here (open in Perfetto / chrome://tracing; one lane per pipeline phase)")
-	flightDir := flag.String("flight-dir", "", "keep a flight recorder of recent batch span trees; dumps into this directory on health rollback / replica eviction")
+	flightDir := flag.String("flight-dir", "", "keep a flight recorder of recent batch span trees; dumps into this directory on health rollback")
 	flightKeep := flag.Int("flight-keep", 64, "how many recent batch span trees the flight recorder retains")
 	logLevel := flag.String("log-level", "info", "structured log level on stderr: debug, info, warn, error")
 	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
@@ -77,10 +72,8 @@ func main() {
 	fmt.Printf("dataset %s: %d events, %d nodes, feat dim %d; base batch %d\n",
 		ds.Name, ds.NumEvents(), ds.NumNodes, ds.EdgeFeatDim, *base)
 
-	// Observability bundle shared by the single-process and distributed
-	// paths. The registry exists whenever anything consumes it — the
-	// -metrics-out dump, flight-recorder snapshots, or the tracer's phase
-	// summaries.
+	// The registry exists whenever anything consumes it — the -metrics-out
+	// dump, flight-recorder snapshots, or the tracer's phase summaries.
 	var reg *cascade.Registry
 	if *metricsOut != "" || *traceChrome != "" || *flightDir != "" {
 		reg = cascade.NewMetricsRegistry()
@@ -117,17 +110,6 @@ func main() {
 		tracer = cascade.NewTracer(topt)
 	}
 	logger := cascade.NewLogger(os.Stderr, *logLevel, *logJSON, tracer.ID())
-
-	if *replicas > 1 {
-		runDistributed(ds, distFlags{
-			replicas: *replicas, model: *model, useCascade: *scheduler == "Cascade",
-			base: *base, epochs: *epochs, memdim: *memdim, timedim: *timedim,
-			lr: float32(*lr), seed: *seed, epochTimeout: *epochTimeout,
-			rejoin: *rejoin, ckptDir: *ckptDir, metricsOut: *metricsOut,
-			reg: reg, tracer: tracer, flight: flight, logger: logger,
-		})
-		return
-	}
 
 	cfg := cascade.RunConfig{
 		Dataset:   ds,
@@ -350,76 +332,5 @@ func main() {
 		fmt.Printf("cascade: Maxr=%d (profiled max/mean/min = %.0f/%.0f/%.0f over %d base batches), preprocess %v, lookup %v\n",
 			cs.Sensor().Maxr(), stats.MrMax, stats.MrMean, stats.MrMin, stats.NumBaseBatches,
 			cs.BuildTime().Round(1e5), cs.LookupTime().Round(1e5))
-	}
-}
-
-// distFlags bundles the flag values the distributed branch consumes.
-type distFlags struct {
-	replicas        int
-	model           string
-	useCascade      bool
-	base, epochs    int
-	memdim, timedim int
-	lr              float32
-	seed            int64
-	epochTimeout    time.Duration
-	rejoin          bool
-	ckptDir         string
-	metricsOut      string
-	reg             *cascade.Registry
-	tracer          *cascade.Tracer
-	flight          *cascade.FlightRecorder
-	logger          *slog.Logger
-}
-
-// runDistributed is the -replicas>1 path: data-parallel training with
-// epoch-boundary weight averaging, barrier eviction, and optional rejoin.
-func runDistributed(ds *cascade.Dataset, f distFlags) {
-	metricsFile := os.Stdout
-	if f.metricsOut != "" {
-		if f.metricsOut != "-" {
-			out, err := os.Create(f.metricsOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "cascade-train: metrics-out: %v\n", err)
-				os.Exit(1)
-			}
-			defer out.Close()
-			metricsFile = out
-		}
-	}
-	fmt.Printf("distributed: %d replicas, rejoin=%v\n", f.replicas, f.rejoin)
-	f.logger.Info("distributed training starting", "replicas", f.replicas,
-		"model", f.model, "epochs", f.epochs)
-	res, err := cascade.TrainDistributed(cascade.DistributedConfig{
-		Dataset: ds, Replicas: f.replicas, Model: f.model, UseCascade: f.useCascade,
-		BaseBatch: f.base, Epochs: f.epochs, MemoryDim: f.memdim, TimeDim: f.timedim,
-		LR: f.lr, Seed: f.seed, EpochTimeout: f.epochTimeout,
-		Rejoin: f.rejoin, CheckpointDir: f.ckptDir,
-		Obs: f.reg, Tracer: f.tracer, Recorder: f.flight,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cascade-train: %v\n", err)
-		os.Exit(1)
-	}
-	for r, losses := range res.ReplicaLosses {
-		fmt.Printf("replica %d losses: ", r)
-		for _, l := range losses {
-			fmt.Printf("%.5f ", l)
-		}
-		fmt.Println()
-	}
-	if len(res.Evicted) > 0 {
-		fmt.Printf("evicted: %v, rejoined: %v\n", res.Evicted, res.Rejoined)
-	}
-	fmt.Printf("syncs %d, wall %v, validation loss %.5f\n",
-		res.SyncCount, res.WallTime.Round(1e6), res.ValLoss)
-	if f.reg != nil && f.metricsOut != "" {
-		if err := f.reg.WritePrometheus(metricsFile); err != nil {
-			fmt.Fprintf(os.Stderr, "cascade-train: metrics-out: %v\n", err)
-			os.Exit(1)
-		}
-		if f.metricsOut != "-" {
-			fmt.Printf("metrics written to %s\n", f.metricsOut)
-		}
 	}
 }

@@ -37,7 +37,7 @@ func traceServe(t *testing.T, buf *bytes.Buffer) *serve.Server {
 	return serve.New(m, trainer.Predictor(), ds.NumNodes, serve.WithTracer(tracer))
 }
 
-// TestTraceSmoke is the `make tracesmoke` gate: one request through a traced
+// TestTraceSmoke is the observability-plane gate: one request through a traced
 // 2-shard router must yield ONE distributed trace-id that appears in the
 // router's Chrome trace and in every shard's, and the three per-process
 // files must merge onto one timeline.

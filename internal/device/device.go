@@ -31,7 +31,7 @@ type Model struct {
 	// Obs, when non-nil, receives per-BatchCost metrics (occupancy and
 	// simulated-latency histograms plus a call counter — the counter also
 	// backs the regression test pinning one cost-model evaluation per
-	// training batch).
+	// training batch). Set it with Attach to get the HELP texts too.
 	Obs *obs.Registry
 	// LaunchOverhead is the fixed cost per kernel launch.
 	LaunchOverhead time.Duration
@@ -82,19 +82,25 @@ func A100TGLite() Model {
 	return m
 }
 
+// Attach sets Obs and registers the device_* HELP texts once, so BatchCost
+// never takes the registry mutex for them on the per-batch path.
+func (m *Model) Attach(r *obs.Registry) {
+	m.Obs = r
+	r.Help("device_batch_cost_calls_total", "Simulated-device cost evaluations (one per batch per pass).")
+	r.Help("device_flops_total", "Floating-point operations charged to the simulated device (backward factor included).")
+	r.Help("device_kernels_total", "Kernel launches charged to the simulated device (backward factor included).")
+}
+
 // BatchCost converts one batch's tape statistics into simulated time and
 // occupancy. train selects whether backward-pass work is included.
 func (m Model) BatchCost(s tensor.TapeStats, train bool) (c Cost) {
+	work, kernels := s.Flops, float64(s.Kernels)
+	if train {
+		work *= m.BackwardFactor
+		kernels *= m.BackwardFactor
+	}
 	if m.Obs != nil {
-		m.Obs.Help("device_batch_cost_calls_total", "Simulated-device cost evaluations (one per batch per pass).")
-		m.Obs.Help("device_flops_total", "Floating-point operations charged to the simulated device (backward factor included).")
-		m.Obs.Help("device_kernels_total", "Kernel launches charged to the simulated device (backward factor included).")
 		m.Obs.Counter("device_batch_cost_calls_total").Inc()
-		work, kernels := s.Flops, float64(s.Kernels)
-		if train {
-			work *= m.BackwardFactor
-			kernels *= m.BackwardFactor
-		}
 		m.Obs.Counter("device_flops_total").Add(int64(work))
 		m.Obs.Counter("device_kernels_total").Add(int64(kernels))
 		defer func() {
@@ -113,12 +119,6 @@ func (m Model) BatchCost(s tensor.TapeStats, train bool) (c Cost) {
 	}
 	if occ < m.MinOccupancy {
 		occ = m.MinOccupancy
-	}
-	work := s.Flops
-	kernels := float64(s.Kernels)
-	if train {
-		work *= m.BackwardFactor
-		kernels *= m.BackwardFactor
 	}
 	launch := time.Duration(kernels * m.KernelFusion * float64(m.LaunchOverhead))
 	compute := time.Duration(work / (m.PeakFlops * occ) * float64(time.Second))

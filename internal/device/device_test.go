@@ -1,6 +1,8 @@
 package device
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"github.com/cascade-ml/cascade/internal/obs"
@@ -106,5 +108,32 @@ func TestBatchCostRecordsObs(t *testing.T) {
 	}
 	if got := m.Obs.Histogram("device_batch_seconds").Sum(); got != c.Time.Seconds() {
 		t.Fatalf("seconds sum = %v, want %v", got, c.Time.Seconds())
+	}
+}
+
+// TestHelpRegisteredOnce pins that the device_* HELP texts are set by Attach
+// and never again: Help takes the registry mutex, which has no place on the
+// per-batch path. A sentinel written after Attach must survive BatchCost.
+func TestHelpRegisteredOnce(t *testing.T) {
+	m := A100TGL()
+	r := obs.NewRegistry()
+	m.Attach(r)
+	r.Help("device_flops_total", "sentinel")
+	s := tensor.TapeStats{Kernels: 100, Flops: 1e8, RowSum: 100 * 500, MaxRows: 500}
+	for i := 0; i < 10; i++ {
+		m.BatchCost(s, true)
+	}
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# HELP device_flops_total sentinel\n",
+		"# HELP device_batch_cost_calls_total Simulated-device cost evaluations",
+		"# HELP device_kernels_total Kernel launches charged",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("exposition lacks %q", want)
+		}
 	}
 }

@@ -37,8 +37,7 @@ type BreakerConfig struct {
 	// Cooldown is how long the breaker stays open before letting one probe
 	// through half-open (default 5s).
 	Cooldown time.Duration
-	// Now injects a clock. The distributed layer passes a synthetic
-	// epoch-based clock so breaker behavior is deterministic per epoch;
+	// Now injects a clock so tests can step the cooldown deterministically;
 	// default time.Now.
 	Now func() time.Time
 	// Gauge names the obs state gauge (default "breaker_state").
@@ -154,8 +153,8 @@ func (b *Breaker) RecordFailure() {
 }
 
 // Trip forces the breaker open regardless of the failure count (used when
-// the caller has out-of-band proof the dependency is down, e.g. a replica
-// evicted at the epoch barrier). Nil-safe.
+// the caller has out-of-band proof the dependency is down, e.g. the router's
+// probe loop declaring a primary dead). Nil-safe.
 func (b *Breaker) Trip() {
 	if b == nil {
 		return

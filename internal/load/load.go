@@ -1,5 +1,5 @@
 // Package load implements the overload-resilience primitives shared by the
-// serving and distributed layers: a bounded admission controller with
+// serving and cluster layers: a bounded admission controller with
 // token-bucket rate limiting and explicit load shedding (Controller), a
 // three-state circuit breaker (Breaker), and retry with jittered
 // exponential backoff (Retry).

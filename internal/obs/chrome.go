@@ -11,7 +11,7 @@ import (
 // JSON array format chrome://tracing and Perfetto load directly. Every
 // pipeline phase gets its own lane (tid) named by a thread_name metadata
 // event, so the TG-Diffuser / SG-Filter / ABS / embed / backward / optimizer
-// / memory-update / barrier breakdown reads as eight parallel tracks.
+// / memory-update breakdown reads as seven parallel tracks (plus "other").
 //
 // Writes are mutex-serialized; each span becomes one complete ("ph":"X")
 // event at End time. Close terminates the JSON array; the file is invalid
@@ -39,9 +39,9 @@ type chromeEvent struct {
 }
 
 // NewChromeTrace wraps w in a trace writer and emits the lane-naming
-// metadata for all eight pipeline phases up front, so every lane exists in
-// the output even when a run never touches it (e.g. dist_barrier in a
-// single-replica run). If w is an io.Closer, Close closes it.
+// metadata for every phase lane up front, so every lane exists in the
+// output even when a run never touches it (e.g. sg_filter under a fixed
+// scheduler). If w is an io.Closer, Close closes it.
 func NewChromeTrace(w io.Writer) *ChromeTraceWriter {
 	c := &ChromeTraceWriter{w: w, epoch: time.Now()}
 	if cl, ok := w.(io.Closer); ok {

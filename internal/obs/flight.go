@@ -14,10 +14,10 @@ import (
 
 // FlightRecorder is the always-on postmortem buffer: it keeps the last N
 // completed root span trees (whole batches) in lock-striped ring buffers and,
-// when something goes wrong — health rollback, replica eviction, breaker
-// open — writes them plus a registry snapshot to one bounded JSON file. The
-// point is to answer "what was the scheduler doing right before the failure"
-// without anyone having enabled tracing in advance.
+// when something goes wrong — health rollback, breaker open — writes them
+// plus a registry snapshot to one bounded JSON file. The point is to answer
+// "what was the scheduler doing right before the failure" without anyone
+// having enabled tracing in advance.
 //
 // Retention is bounded twice over: ring capacity bounds tree count, and
 // span.go's maxTreeSpans/maxSpanAttrs bound each tree, so the recorder's
@@ -25,7 +25,7 @@ import (
 // is inert.
 type FlightRecorder struct {
 	dir    string
-	tag    string        // per-process filename tag (pid + nonce)
+	tag    string // per-process filename tag (pid + nonce)
 	reg    *Registry
 	seq    atomic.Uint64 // dump file sequence
 	next   atomic.Uint64 // round-robin stripe cursor
@@ -33,7 +33,7 @@ type FlightRecorder struct {
 	stripe [flightStripes]flightStripe
 }
 
-// flightStripes is the lock-stripe count; concurrent trainers/replicas hash
+// flightStripes is the lock-stripe count; concurrent request goroutines hash
 // onto different stripes so span retention never serializes them.
 const flightStripes = 8
 

@@ -45,8 +45,6 @@ const (
 	// PhaseMemory is the node-memory update (BeginBatch apply + EndBatch
 	// message generation).
 	PhaseMemory
-	// PhaseBarrier is the distributed epoch barrier / parameter averaging.
-	PhaseBarrier
 	// PhaseOther is everything unlaned: batch roots, host-side batch prep,
 	// serve requests.
 	PhaseOther
@@ -57,7 +55,7 @@ const (
 
 var phaseNames = [NumPhases]string{
 	"tg_diffuser", "sg_filter", "abs_decision", "embed_forward",
-	"backward", "optimizer_step", "memory_update", "dist_barrier", "other",
+	"backward", "optimizer_step", "memory_update", "other",
 }
 
 // String returns the lane name ("tg_diffuser", "embed_forward", …).

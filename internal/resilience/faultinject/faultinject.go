@@ -11,7 +11,6 @@ package faultinject
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 )
@@ -30,20 +29,6 @@ const (
 	PointCkptWrite  = "ckpt/write"
 	PointCkptSync   = "ckpt/sync"
 	PointCkptRename = "ckpt/rename"
-	// PointReplicaDie kills replica r before its epoch (internal/distributed);
-	// format with ReplicaPoint.
-	PointReplicaDie = "dist/replica-die"
-	// PointReplicaHang stalls replica r for the armed delay, simulating a
-	// wedged worker the epoch barrier must time out on.
-	PointReplicaHang = "dist/replica-hang"
-	// PointReplicaFlap kills replica r's epoch like PointReplicaDie, but
-	// models a transient crash: with rejoin enabled the replica comes back
-	// from the latest checkpoint instead of staying evicted
-	// (internal/distributed).
-	PointReplicaFlap = "dist/replica-flap"
-	// PointReportDrop drops replica r's epoch report on the way to the
-	// barrier; the retry layer re-delivers it (internal/distributed).
-	PointReportDrop = "dist/report-drop"
 	// PointServeSlowScore stalls the scoring critical section for the armed
 	// delay (internal/serve) — drives deadline misses and breaker trips in
 	// the chaos suite.
@@ -83,9 +68,6 @@ const (
 	PointPromote = "promote"
 )
 
-// ReplicaPoint names a per-replica fault point ("dist/replica-die/2").
-func ReplicaPoint(base string, r int) string { return fmt.Sprintf("%s/%d", base, r) }
-
 // ErrInjected is the default error returned by firing points armed without
 // an explicit error.
 var ErrInjected = errors.New("faultinject: injected fault")
@@ -99,8 +81,8 @@ type arm struct {
 }
 
 // Injector tracks armed fault points. The zero value and nil are inert; use
-// New and Arm in tests. Safe for concurrent use (replicas fire points from
-// their own goroutines).
+// New and Arm in tests. Safe for concurrent use (servers fire points
+// from request goroutines).
 type Injector struct {
 	mu    sync.Mutex
 	arms  map[string]*arm
@@ -118,7 +100,7 @@ func (i *Injector) Arm(point string, hits ...int) { i.arm(point, ErrInjected, 0,
 // ArmErr is Arm with an explicit error for Err-consuming call sites.
 func (i *Injector) ArmErr(point string, err error, hits ...int) { i.arm(point, err, 0, hits) }
 
-// ArmDelay arms a Sleep-consuming point (replica hang) with its stall
+// ArmDelay arms a Sleep-consuming point (a slow score) with its stall
 // duration.
 func (i *Injector) ArmDelay(point string, d time.Duration, hits ...int) {
 	i.arm(point, ErrInjected, d, hits)

@@ -89,9 +89,3 @@ func TestRearmReplacesSchedule(t *testing.T) {
 		t.Fatal("re-armed point did not fire on its first hit")
 	}
 }
-
-func TestReplicaPoint(t *testing.T) {
-	if got := ReplicaPoint(PointReplicaDie, 2); got != "dist/replica-die/2" {
-		t.Fatalf("got %q", got)
-	}
-}

@@ -156,7 +156,7 @@ func (s *Server) degradedScore(w http.ResponseWriter, req *scoreRequest) {
 // report failure so the breaker sees the miss.
 func (s *Server) scoreFresh(ctx context.Context, req *scoreRequest) ([]float32, error) {
 	s.mu.Lock()
-	if err := ctx.Err(); err != nil {
+	if err := deadlineErr(ctx); err != nil {
 		s.mu.Unlock()
 		return nil, err
 	}
@@ -168,10 +168,24 @@ func (s *Server) scoreFresh(ctx context.Context, req *scoreRequest) ([]float32, 
 	scores := scorePairs(s.model, s.predictor, req.Pairs, at)
 	s.scored += int64(len(req.Pairs))
 	s.mu.Unlock()
-	if err := ctx.Err(); err != nil {
+	if err := deadlineErr(ctx); err != nil {
 		return nil, err
 	}
 	return scores, nil
+}
+
+// deadlineErr is ctx.Err() that also reads the clock: ctx.Err() turns non-nil
+// only once the context's timer goroutine has run, so a request woken in the
+// same scheduler pass as its expired deadline would otherwise still see nil
+// and be answered as if on time.
+func deadlineErr(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if d, ok := ctx.Deadline(); ok && !d.After(time.Now()) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // handleHealthz is the liveness probe: the process is up and serving HTTP.

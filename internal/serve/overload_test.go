@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net"
@@ -318,6 +319,36 @@ func TestBreakerOpensOnDeadlineMissesAndRecovers(t *testing.T) {
 	}
 	if rec := get(t, h, "/readyz"); rec.Code != http.StatusOK {
 		t.Fatalf("readyz after recovery: %d, want 200", rec.Code)
+	}
+}
+
+// lateTimerCtx is a context whose deadline has passed but whose timer
+// goroutine has not run yet: Deadline() is in the past, Err() still nil.
+type lateTimerCtx struct{ context.Context }
+
+func (lateTimerCtx) Deadline() (time.Time, bool) { return time.Now().Add(-time.Second), true }
+
+// TestDeadlineMissDecidedByClock: a score whose deadline is already behind
+// the clock is a miss even when ctx.Err() has not caught up — the outcome
+// must not depend on whether the runtime woke the context's timer goroutine
+// before the handler.
+func TestDeadlineMissDecidedByClock(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := buildServer(t, overloadData(t), WithRegistry(reg),
+		WithBreaker(load.BreakerConfig{FailureThreshold: 1, Cooldown: time.Hour}))
+	req := httptest.NewRequest("POST", "/score", strings.NewReader(`{"pairs":[{"src":1,"dst":61}],"time":1e7}`))
+	req.Header.Set("Content-Type", "application/json")
+	req = req.WithContext(lateTimerCtx{req.Context()})
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("score past its deadline: %d %s, want 503", rec.Code, rec.Body)
+	}
+	if got := reg.Counter("serve_deadline_misses_total").Value(); got != 1 {
+		t.Fatalf("serve_deadline_misses_total %d, want 1", got)
+	}
+	if st := s.breaker.State(); st != load.BreakerOpen {
+		t.Fatalf("breaker %v after the miss, want open (RecordFailure not called)", st)
 	}
 }
 

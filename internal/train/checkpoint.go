@@ -204,33 +204,6 @@ func (t *Trainer) RestoreCheckpoint(c *CheckpointState) error {
 	return nil
 }
 
-// AdoptAveraged installs the weights and optimizer moments from a peer's
-// checkpoint, leaving stream, scheduler, and RNG state alone. It is the
-// rejoin half of distributed recovery: an evicted replica adopts the fleet's
-// averaged parameters, and because TrainEpoch resets node memories and the
-// scheduler walk at every epoch start, the skipped state is rebuilt on the
-// rejoiner's own shard the moment it trains again. Unlike RestoreCheckpoint
-// it does not require matching scheduler policies — the checkpoint's stream
-// and scheduler payloads belong to the peer's shard and are ignored.
-func (t *Trainer) AdoptAveraged(c *CheckpointState) error {
-	if c == nil {
-		return fmt.Errorf("train: nil checkpoint")
-	}
-	if err := nn.LoadParams(bytes.NewReader(c.Weights), t.checkpointParams()); err != nil {
-		return fmt.Errorf("train: adopting averaged weights: %w", err)
-	}
-	if err := t.opt.RestoreCheckpoint(c.Optimizer); err != nil {
-		return err
-	}
-	t.epoch = c.Epoch
-	t.resume = nil
-	t.resetHealthWindow()
-	if t.cfg.Obs != nil {
-		t.cfg.Obs.Counter("train_checkpoint_adoptions_total").Inc()
-	}
-	return nil
-}
-
 // resumePoint carries a restored mid-epoch position into the next
 // TrainEpoch call.
 type resumePoint struct {

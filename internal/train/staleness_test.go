@@ -67,7 +67,7 @@ func TestStalenessZeroMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestStaleSmoke is the `make stalesmoke` gate: a tiny s=0 vs s=2
+// TestStaleSmoke is the bounded-staleness smoke gate: a tiny s=0 vs s=2
 // equivalence/divergence check. s=0 twice must agree bitwise; s=2 must
 // actually defer (stale-served reads observed, budget respected, losses
 // finite) and — because deferred memories change the forward pass — diverge

@@ -1,12 +1,11 @@
 // Command chaos is the deterministic chaos harness: it drives the repo's
 // fault-injection points against real components — an overloaded scoring
-// server, a flapping training replica — and verifies the resilience
-// contracts hold (shed-don't-collapse, evict-then-rejoin). Faults fire on
+// server, a faulted WAL, a killed primary — and verifies the resilience
+// contracts hold (shed-don't-collapse, zero acked-but-lost). Faults fire on
 // exact hit counts, not timers or dice, so a failing scenario replays
 // byte-for-byte.
 //
 //	chaos -scenario overload   # 10× burst against a saturated /score
-//	chaos -scenario flap       # replica flaps, rejoins from checkpoint
 //	chaos -scenario walfault   # injected fsync/disk-full → read-only /score, zero acked-but-lost
 //	chaos -scenario crash      # SIGKILL cascade-serve mid-ingest, recover bitwise from the WAL
 //	chaos -scenario failover   # SIGKILL a replicated primary behind the router; standby promoted, hints drained, zero lost
@@ -25,8 +24,6 @@ import (
 	"time"
 
 	"github.com/cascade-ml/cascade"
-	"github.com/cascade-ml/cascade/internal/distributed"
-	"github.com/cascade-ml/cascade/internal/graph/datagen"
 	"github.com/cascade-ml/cascade/internal/load"
 	"github.com/cascade-ml/cascade/internal/obs"
 	"github.com/cascade-ml/cascade/internal/resilience/faultinject"
@@ -34,11 +31,11 @@ import (
 )
 
 func main() {
-	scenario := flag.String("scenario", "all", "overload, flap, walfault, crash, failover, or all")
+	scenario := flag.String("scenario", "all", "overload, walfault, crash, failover, or all")
 	seed := flag.Int64("seed", 7, "random seed for dataset generation")
 	flag.Parse()
 
-	known := map[string]bool{"overload": true, "flap": true, "walfault": true, "crash": true, "failover": true}
+	known := map[string]bool{"overload": true, "walfault": true, "crash": true, "failover": true}
 	if *scenario != "all" && !known[*scenario] {
 		fmt.Fprintf(os.Stderr, "chaos: unknown scenario %q\n", *scenario)
 		os.Exit(2)
@@ -56,7 +53,6 @@ func main() {
 		fmt.Printf("chaos: OK   %s\n", name)
 	}
 	runScenario("overload", overloadScenario)
-	runScenario("flap", flapScenario)
 	runScenario("walfault", walFaultScenario)
 	runScenario("crash", crashScenario)
 	runScenario("failover", failoverScenario)
@@ -151,46 +147,6 @@ func overloadScenario(seed int64) error {
 	}
 	fmt.Printf("chaos: overload: %d clients → %d admitted (p99 %v), %d shed with Retry-After\n",
 		clients, ok200, p99.Round(time.Millisecond), shed429)
-	return nil
-}
-
-// flapScenario flaps one training replica during epoch 1 of a distributed
-// run with rejoin and on-disk checkpoints enabled, and checks the
-// self-healing contract: the replica is evicted, restores from the newest
-// resilience checkpoint, rejoins the barrier, and the run converges.
-func flapScenario(seed int64) error {
-	ds := datagen.Wiki.Generate(datagen.Options{Scale: 0.003, Seed: seed, FeatDimOverride: 8, MinEvents: 1200})
-	dir, err := os.MkdirTemp("", "cascade-chaos-ckpt-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	inj := faultinject.New()
-	inj.Arm(faultinject.ReplicaPoint(faultinject.PointReplicaFlap, 1), 1)
-	reg := obs.NewRegistry()
-	res, err := distributed.Train(distributed.Config{
-		Dataset: ds, Replicas: 2, Model: "TGN", BaseBatch: 40, Epochs: 3,
-		MemoryDim: 16, TimeDim: 4, Seed: seed, Workers: 1,
-		Rejoin: true, CheckpointDir: dir,
-		Injector: inj, Obs: reg,
-	})
-	if err != nil {
-		return err
-	}
-	if len(res.Evicted) != 1 || res.Evicted[0] != 1 {
-		return fmt.Errorf("evicted %v, want [1]", res.Evicted)
-	}
-	if len(res.Rejoined) != 1 || res.Rejoined[0] != 1 {
-		return fmt.Errorf("rejoined %v, want [1]", res.Rejoined)
-	}
-	if got := reg.Counter("dist_replica_rejoins_total").Value(); got != 1 {
-		return fmt.Errorf("dist_replica_rejoins_total %d, want 1", got)
-	}
-	if res.ValLoss <= 0 || res.ValLoss != res.ValLoss {
-		return fmt.Errorf("val loss %v", res.ValLoss)
-	}
-	fmt.Printf("chaos: flap: replica 1 evicted epoch 1, rejoined from %s, val loss %.4f, %d syncs\n",
-		dir, res.ValLoss, res.SyncCount)
 	return nil
 }
 

@@ -81,13 +81,13 @@ func runSelftest() error {
 	const skew = 250_000.0 // µs: the shard's clock runs this far behind
 	router := []byte(`[
 {"name":"process_name","ph":"M","pid":1,"args":{"name":"cascade"}},
-{"name":"router_ingest","ph":"X","pid":1,"tid":8,"ts":1000,"dur":400,"args":{"trace_id":"aabbccddeeff00112233445566778899","span_id":1}},
-{"name":"router_score","ph":"X","pid":1,"tid":8,"ts":2000,"dur":600,"args":{"trace_id":"99887766554433221100ffeeddccbbaa","span_id":2}}
+{"name":"router_ingest","ph":"X","pid":1,"tid":7,"ts":1000,"dur":400,"args":{"trace_id":"aabbccddeeff00112233445566778899","span_id":1}},
+{"name":"router_score","ph":"X","pid":1,"tid":7,"ts":2000,"dur":600,"args":{"trace_id":"99887766554433221100ffeeddccbbaa","span_id":2}}
 ]`)
 	shard := []byte(fmt.Sprintf(`[
 {"name":"process_name","ph":"M","pid":1,"args":{"name":"cascade"}},
-{"name":"serve_ingest","ph":"X","pid":1,"tid":8,"ts":%g,"dur":300,"args":{"trace_id":"aabbccddeeff00112233445566778899","remote_parent":"0102030405060708","span_id":9}},
-{"name":"serve_score","ph":"X","pid":1,"tid":8,"ts":%g,"dur":500,"args":{"trace_id":"99887766554433221100ffeeddccbbaa","remote_parent":"1112131415161718","span_id":10}}
+{"name":"serve_ingest","ph":"X","pid":1,"tid":7,"ts":%g,"dur":300,"args":{"trace_id":"aabbccddeeff00112233445566778899","remote_parent":"0102030405060708","span_id":9}},
+{"name":"serve_score","ph":"X","pid":1,"tid":7,"ts":%g,"dur":500,"args":{"trace_id":"99887766554433221100ffeeddccbbaa","remote_parent":"1112131415161718","span_id":10}}
 ]`, 1050-skew, 2050-skew))
 
 	merged, rep, err := obs.MergeChromeTraces([]obs.TraceFile{

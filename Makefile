@@ -14,11 +14,18 @@ GO ?= go
 # faults, replication and probe faults.
 RACE_PKGS = ./internal/parallel/... ./internal/serve/... ./internal/obs/... ./internal/tensor/... ./internal/train/... ./internal/resilience/... ./internal/load/... ./internal/memstore/... ./internal/wal/... ./internal/cluster/...
 
-.PHONY: check build test vet race benchall faultsmoke chaossmoke walsmoke tracesmoke clean
+.PHONY: check fmt build test vet race fuzzsmoke benchall faultsmoke chaossmoke walsmoke tracesmoke clean
 
-# check is the tier-1 gate: everything a PR must keep green. Performance is
-# not gated here: `bash benchmark/run.sh` is the repo's performance record.
-check: vet build test race faultsmoke chaossmoke walsmoke tracesmoke
+# check is the tier-1 gate: everything a PR must keep green — gofmt-clean
+# sources, vet, build, tests (once plain, once under -race), a short fuzz of
+# each byte decoder, and the checkpoint/chaos/WAL/trace smokes. Performance
+# is not gated here: `bash benchmark/run.sh` is the repo's performance
+# record.
+check: fmt vet build test race fuzzsmoke faultsmoke chaossmoke walsmoke tracesmoke
+
+# fmt fails when any Go file is not gofmt-formatted, listing the offenders.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -31,6 +38,16 @@ test:
 
 race:
 	$(GO) test -race -count=1 $(RACE_PKGS)
+
+# fuzzsmoke gives every fuzz target a short run beyond its seed corpus (the
+# seeds themselves ride test). go test -fuzz takes one target per package
+# invocation, hence one line each.
+fuzzsmoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 2s -parallel 2 ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 2s -parallel 2 ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 2s -parallel 2 ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEventBatch$$' -fuzztime 2s -parallel 2 ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime 2s -parallel 2 ./internal/resilience
 
 # faultsmoke proves checkpointing end to end: a real checkpointed
 # cascade-train run whose files must pass the ckptcheck linter (the

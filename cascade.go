@@ -362,18 +362,6 @@ func NewLogger(w io.Writer, level string, jsonOut bool, traceID string) *slog.Lo
 	return obs.NewLogger(w, level, jsonOut, traceID)
 }
 
-// SLO re-exports the multi-window error-budget burn tracker behind the
-// slo_* gauges (DESIGN.md §16).
-type SLO = obs.SLO
-
-// SLOConfig re-exports the SLO objectives and window configuration.
-type SLOConfig = obs.SLOConfig
-
-// NewSLO builds an error-budget burn tracker; the zero config applies the
-// default objectives (99.9% availability, 99% under 250ms) over 5m and 1h
-// windows.
-func NewSLO(cfg SLOConfig) *SLO { return obs.NewSLO(cfg) }
-
 // TaskKind re-exports the training objective selector.
 type TaskKind = train.Task
 

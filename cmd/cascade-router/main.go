@@ -71,7 +71,7 @@ func main() {
 		}
 		chrome := cascade.NewChromeTrace(f)
 		defer chrome.Close()
-		tracer = cascade.NewTracer(cascade.TracerOptions{Chrome: chrome, Registry: reg})
+		tracer = cascade.NewTracer(cascade.TracerOptions{Chrome: chrome})
 	}
 	logger := cascade.NewLogger(os.Stderr, *logLevel, *logJSON, tracer.ID())
 	router, err := cluster.NewRouter(cluster.RouterConfig{

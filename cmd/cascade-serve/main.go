@@ -20,7 +20,6 @@ import (
 	"github.com/cascade-ml/cascade"
 	"github.com/cascade-ml/cascade/internal/cluster"
 	"github.com/cascade-ml/cascade/internal/load"
-	"github.com/cascade-ml/cascade/internal/obs"
 	"github.com/cascade-ml/cascade/internal/serve"
 	"github.com/cascade-ml/cascade/internal/wal"
 )
@@ -33,7 +32,6 @@ func main() {
 	memdim := flag.Int("memdim", 32, "node memory width")
 	addr := flag.String("addr", ":8080", "listen address")
 	loadPath := flag.String("load", "", "restore a checkpoint instead of pre-training from scratch")
-	tracePath := flag.String("trace", "", "append one JSONL record per request (route, status, latency) here")
 	seed := flag.Int64("seed", 1, "random seed")
 	reqTimeout := flag.Duration("request-timeout", 10*time.Second, "per-request deadline (503 beyond); 0 disables")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 15*time.Second, "drain deadline for in-flight requests on SIGINT/SIGTERM")
@@ -91,7 +89,7 @@ func main() {
 		flight *cascade.FlightRecorder
 	)
 	if *traceChrome != "" || *flightDir != "" {
-		topt := cascade.TracerOptions{Registry: reg}
+		var topt cascade.TracerOptions
 		if *traceChrome != "" {
 			f, err := os.Create(*traceChrome)
 			if err != nil {
@@ -161,17 +159,6 @@ func main() {
 		// Snapshot copies every node memory, so per-ingest refresh would
 		// double ingest cost under sustained load.
 		opts = append(opts, serve.WithStaleReplica(sm, sp, time.Second))
-	}
-	if *tracePath != "" {
-		f, err := os.OpenFile(*tracePath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cascade-serve: trace: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		sink := obs.NewTrace(f)
-		defer sink.Close()
-		opts = append(opts, serve.WithTrace(sink))
 	}
 	if *walDir != "" {
 		policy, err := wal.ParseSyncPolicy(*walSync)
@@ -247,7 +234,7 @@ func main() {
 	})
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	fmt.Printf("serving on %s (POST /ingest, POST /score, GET /stats, GET /metrics, GET /healthz, GET /readyz, GET /debug/pipeline)\n", *addr)
+	fmt.Printf("serving on %s (POST /ingest, POST /score, GET /stats, GET /metrics, GET /healthz, GET /readyz)\n", *addr)
 	logger.Info("serving", "addr", *addr)
 	// StartDrain flips /readyz to 503 for the whole drain window, so load
 	// balancers stop routing here while in-flight requests finish; the flush

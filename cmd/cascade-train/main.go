@@ -73,9 +73,9 @@ func main() {
 		ds.Name, ds.NumEvents(), ds.NumNodes, ds.EdgeFeatDim, *base)
 
 	// The registry exists whenever anything consumes it — the -metrics-out
-	// dump, flight-recorder snapshots, or the tracer's phase summaries.
+	// dump or flight-recorder snapshots.
 	var reg *cascade.Registry
-	if *metricsOut != "" || *traceChrome != "" || *flightDir != "" {
+	if *metricsOut != "" || *flightDir != "" {
 		reg = cascade.NewMetricsRegistry()
 	}
 	var (
@@ -83,7 +83,7 @@ func main() {
 		flight *cascade.FlightRecorder
 	)
 	if *traceChrome != "" || *flightDir != "" {
-		topt := cascade.TracerOptions{Registry: reg}
+		var topt cascade.TracerOptions
 		if *traceChrome != "" {
 			f, err := os.Create(*traceChrome)
 			if err != nil {

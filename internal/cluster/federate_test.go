@@ -33,7 +33,6 @@ func TestFederateMergesMemberMetrics(t *testing.T) {
 		`stub_last_bid{shard="0",role="standby",member="` + stby.url() + `",exported_shard="local"}`,
 		// The router's own families ride along unlabeled.
 		"router_probe_rtt_seconds",
-		"slo_availability_burn_rate",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("federated exposition missing %q:\n%s", want, out)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -242,14 +243,19 @@ func (r *Receiver) session(conn net.Conn) error {
 			if n > maxSnapshotBytes {
 				return fmt.Errorf("cluster: implausible snapshot length %d", n)
 			}
-			data := make([]byte, n)
-			if _, err := io.ReadFull(br, data); err != nil {
+			// Grow as bytes arrive: a forged header must not cost an n-byte
+			// allocation before the first snapshot byte shows up.
+			var data bytes.Buffer
+			if got, err := io.CopyN(&data, br, int64(n)); err != nil {
+				if err == io.EOF && got > 0 {
+					err = io.ErrUnexpectedEOF // a torn snapshot is not a clean close
+				}
 				return err
 			}
 			if !r.cfg.State.ReplicaWritable() {
 				return errors.New("cluster: replica promoted; refusing snapshot")
 			}
-			if err := r.cfg.State.InstallReplicaSnapshot(seq, data); err != nil {
+			if err := r.cfg.State.InstallReplicaSnapshot(seq, data.Bytes()); err != nil {
 				return err
 			}
 			r.cfg.Metrics.Counter("serve_repl_snapshots_received_total").Inc()

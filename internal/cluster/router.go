@@ -54,9 +54,6 @@ type RouterConfig struct {
 	// /score request and propagates its traceparent to every shard touched
 	// (see obs/ctx.go). Nil disables tracing but not routing.
 	Tracer *obs.Tracer
-	// SLO overrides the router's error-budget tracker (default objectives
-	// when nil; the slo_* gauges are always exported).
-	SLO *obs.SLO
 	// Injector arms probe/timeout and promote fault points (nil disables).
 	Injector *faultinject.Injector
 	// Logger receives failover and hint lifecycle events (nil for silent).
@@ -119,7 +116,6 @@ type Router struct {
 	shards []*shard
 	m      *obs.Registry
 	tracer *obs.Tracer
-	slo    *obs.SLO
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -149,11 +145,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if client == nil {
 		client = &http.Client{Timeout: cfg.RequestTimeout}
 	}
-	r := &Router{cfg: cfg, client: client, m: cfg.Metrics, tracer: cfg.Tracer, slo: cfg.SLO, stop: make(chan struct{})}
-	if r.slo == nil {
-		r.slo = obs.NewSLO(obs.SLOConfig{})
-	}
-	r.slo.Register(r.m)
+	r := &Router{cfg: cfg, client: client, m: cfg.Metrics, tracer: cfg.Tracer, stop: make(chan struct{})}
 	for i, spec := range cfg.Shards {
 		if spec.Primary == "" {
 			return nil, fmt.Errorf("cluster: shard %d has no primary", i)
@@ -192,7 +184,8 @@ func (r *Router) shardLabel(id int) map[string]string {
 
 // Handler returns the router's HTTP mux. The data-plane routes mirror the
 // shard servers' (/ingest, /score) so clients can point at either a solo
-// server or a router unchanged; they run behind the tracing/SLO middleware.
+// server or a router unchanged; they run behind the tracing/metrics
+// middleware.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("POST /ingest", r.instrument("ingest", r.handleIngest))
@@ -227,10 +220,12 @@ func spanCtxFrom(ctx context.Context) obs.SpanContext {
 	return sc
 }
 
-// instrument wraps a data-plane route with the cluster trace root span and
-// the SLO tracker. The span continues an inbound traceparent when the
-// client sent one, mints a fresh trace-id otherwise, and its context rides
-// the request context so postIngest/scoreShard can inject it shard-ward.
+// instrument wraps a data-plane route with the cluster trace root span, the
+// latency histogram (`router_<route>_seconds`) and the server-error counter
+// (`router_<route>_5xx_total`). The span continues an inbound traceparent
+// when the client sent one, mints a fresh trace-id otherwise, and its
+// context rides the request context so postIngest/scoreShard can inject it
+// shard-ward.
 func (r *Router) instrument(route string, next http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		start := time.Now()
@@ -245,7 +240,9 @@ func (r *Router) instrument(route string, next http.HandlerFunc) http.Handler {
 		sp.End()
 		r.m.Histogram("router_"+route+"_seconds", obs.LatencyEdges...).Observe(elapsed.Seconds())
 		// Same SLI convention as the shards: only 5xx spends error budget.
-		r.slo.Observe(sw.status < 500, elapsed)
+		if sw.status >= 500 {
+			r.m.Counter("router_" + route + "_5xx_total").Inc()
+		}
 		if r.cfg.Logger != nil {
 			lvl := slog.LevelDebug
 			if sw.status >= 400 {

@@ -32,6 +32,7 @@ type stubShard struct {
 	batches      [][]serve.EventIn
 	promoteCalls int
 	ingestStatus int // forced /ingest status; 0 = behave normally
+	scoreStatus  int // forced /score status; 0 = behave normally
 }
 
 func newStubShard(t *testing.T, role string) *stubShard {
@@ -123,6 +124,13 @@ func (s *stubShard) handleScore(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		rwriteJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
+		return
+	}
+	s.mu.Lock()
+	forced := s.scoreStatus
+	s.mu.Unlock()
+	if forced != 0 {
+		rwriteJSON(w, forced, map[string]any{"error": "scripted failure"})
 		return
 	}
 	// Score encodes the pair so the merge test can verify positions.
@@ -297,6 +305,37 @@ func TestRouterScoreMergesAcrossShards(t *testing.T) {
 	for i, s := range resp.Scores {
 		if want := float64(i)*1000 + float64(20+i); s != want {
 			t.Fatalf("score %d = %v, want %v (merge order broken)", i, s, want)
+		}
+	}
+}
+
+// TestRouterScore5xxCounter: router_score_5xx_total counts the router's
+// server errors only — the availability SLI's numerator (DESIGN.md §16). A
+// shard's 429 passed through, or a bad request, spends no error budget.
+func TestRouterScore5xxCounter(t *testing.T) {
+	prim := newStubShard(t, "solo")
+	r, reg := testRouter(t, nil, ShardSpec{Primary: prim.url()})
+	h := r.Handler()
+	waitRouterReady(t, h)
+	score := map[string]any{"pairs": []map[string]any{{"src": 1, "dst": 2}}, "time": 1}
+	for _, step := range []struct {
+		shardStatus int
+		body        any
+		want        int
+		want5xx     int64
+	}{
+		{0, map[string]any{"pairs": []any{}}, http.StatusBadRequest, 0},
+		{http.StatusTooManyRequests, score, http.StatusTooManyRequests, 0},
+		{http.StatusServiceUnavailable, score, http.StatusServiceUnavailable, 1},
+	} {
+		prim.mu.Lock()
+		prim.scoreStatus = step.shardStatus
+		prim.mu.Unlock()
+		if rec := routerPost(t, h, "/score", step.body); rec.Code != step.want {
+			t.Fatalf("shard status %d: router answered %d %s, want %d", step.shardStatus, rec.Code, rec.Body, step.want)
+		}
+		if got := reg.Counter("router_score_5xx_total").Value(); got != step.want5xx {
+			t.Fatalf("after a %d: router_score_5xx_total = %d, want %d", step.want, got, step.want5xx)
 		}
 	}
 }

@@ -1,12 +1,11 @@
 // Package obs is the observability substrate of the repo's deployment
 // story: a small, dependency-free metrics registry (atomic counters,
-// gauges, fixed-bucket histograms and wall-clock timers) plus a JSONL
-// trace sink and a hierarchical span tracer (span.go) with Chrome-trace,
-// flight-recorder and percentile-summary consumers. The training loop,
-// the Cascade scheduler, the simulated device and the serving layer all
-// publish into a Registry; the serving layer exposes it in Prometheus
-// text format at GET /metrics, and the cmd binaries can dump it after a
-// run.
+// gauges, fixed-bucket histograms and wall-clock timers) plus a
+// hierarchical span tracer (span.go) with Chrome-trace and flight-recorder
+// consumers. The training loop, the Cascade scheduler, the simulated device
+// and the serving layer all publish into a Registry; the serving layer
+// exposes it in Prometheus text format at GET /metrics, and the cmd
+// binaries can dump it after a run.
 //
 // Design constraints, in order:
 //
@@ -132,14 +131,13 @@ func (h *Histogram) snapshot() (edges []float64, counts []int64, sum float64, to
 // call NewRegistry. All methods are safe for concurrent use; getters
 // create the metric on first access so instrumented code never nil-checks.
 type Registry struct {
-	mu         sync.RWMutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	hists      map[string]*Histogram
-	lcounters  map[string]map[string]*Counter // family → rendered labels → counter
-	lgauges    map[string]map[string]*Gauge
-	help       map[string]string
-	collectors []func(io.Writer) error
+	mu        sync.RWMutex
+	counters  map[string]*Counter
+	gauges    map[string]*Gauge
+	hists     map[string]*Histogram
+	lcounters map[string]map[string]*Counter // family → rendered labels → counter
+	lgauges   map[string]map[string]*Gauge
+	help      map[string]string
 }
 
 // NewRegistry returns an empty registry.
@@ -289,19 +287,6 @@ func (r *Registry) Help(name, text string) {
 	r.mu.Unlock()
 }
 
-// RegisterCollector adds a callback invoked at the end of every
-// WritePrometheus — the hook the span tracer uses to append its
-// pipeline_phase_seconds summary family. Collectors must emit complete,
-// well-formed exposition lines. Nil-safe.
-func (r *Registry) RegisterCollector(fn func(io.Writer) error) {
-	if r == nil || fn == nil {
-		return
-	}
-	r.mu.Lock()
-	r.collectors = append(r.collectors, fn)
-	r.mu.Unlock()
-}
-
 // Snapshot returns a flat point-in-time view of every scalar series:
 // counters and gauges under their name (labeled series as name{labels}),
 // histograms as name_count and name_sum. The flight recorder embeds this
@@ -339,7 +324,9 @@ func (r *Registry) Snapshot() map[string]float64 {
 
 // Standard bucket edge sets.
 var (
-	// LatencyEdges covers request/stage latencies from 100µs to 10s.
+	// LatencyEdges covers request/stage latencies from 100µs to 10s. The
+	// 0.25 edge is the latency SLI's threshold: a request is fast when it
+	// lands in the le="0.25" bucket (DESIGN.md §16), so keep that edge.
 	LatencyEdges = []float64{1e-4, 2.5e-4, 1e-3, 2.5e-3, 1e-2, 2.5e-2, 0.1, 0.25, 1, 2.5, 10}
 	// SizeEdges covers batch/request sizes on a coarse log scale.
 	SizeEdges = []float64{1, 10, 50, 100, 500, 1000, 5000, 10000, 50000}
@@ -436,9 +423,9 @@ func (r *Registry) writeHeader(w io.Writer, name, typ string, help map[string]st
 // WritePrometheus renders every metric in the Prometheus text exposition
 // format (one family per metric; histograms expand to cumulative
 // `_bucket{le=…}`, `_sum` and `_count` series). Output is deterministic:
-// families sorted by name within each kind (counters, gauges, histograms,
-// then registered collectors), labeled series sorted by their canonical
-// label rendering, label values and HELP text escaped.
+// families sorted by name within each kind (counters, gauges, then
+// histograms), labeled series sorted by their canonical label rendering,
+// label values and HELP text escaped.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -476,7 +463,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for k, v := range r.help {
 		help[k] = v
 	}
-	collectors := append([]func(io.Writer) error(nil), r.collectors...)
 	r.mu.RUnlock()
 
 	// Counters: union of unlabeled and labeled families, one TYPE line each.
@@ -526,11 +512,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %s\n%s_count %d\n",
 			name, total, name, formatFloat(sum), name, total); err != nil {
-			return err
-		}
-	}
-	for _, fn := range collectors {
-		if err := fn(w); err != nil {
 			return err
 		}
 	}

@@ -3,7 +3,6 @@ package obs
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -96,58 +95,22 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
-func TestTraceSinkJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTrace(&buf)
-	for i := 0; i < 3; i++ {
-		if err := tr.Emit(map[string]int{"batch": i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if tr.Records() != 3 {
-		t.Fatalf("records = %d, want 3", tr.Records())
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines, want 3", len(lines))
-	}
-	for i, line := range lines {
-		var rec map[string]int
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("line %d not JSON: %v", i, err)
-		}
-		if rec["batch"] != i {
-			t.Fatalf("line %d = %v", i, rec)
-		}
-	}
-	var nilSink *TraceSink
-	if err := nilSink.Emit("x"); err != nil {
-		t.Fatal("nil sink should be a no-op")
-	}
-}
-
 // TestRegistryConcurrent hammers every metric kind from many goroutines
 // while a reader renders the exposition — the package's -race target.
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
-	var buf bytes.Buffer
-	tr := NewTrace(&buf)
 	const workers, iters = 8, 200
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				r.Counter("reqs_total").Inc()
 				r.Gauge("depth").Add(1)
 				r.Histogram("lat_seconds", LatencyEdges...).Observe(float64(i) / 1000)
-				if err := tr.Emit(map[string]int{"w": w, "i": i}); err != nil {
-					t.Error(err)
-					return
-				}
 			}
-		}(w)
+		}()
 	}
 	wg.Add(1)
 	go func() {
@@ -165,9 +128,6 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 	if got := r.Histogram("lat_seconds").Count(); got != workers*iters {
 		t.Fatalf("histogram count = %d, want %d", got, workers*iters)
-	}
-	if tr.Records() != workers*iters {
-		t.Fatalf("trace records = %d, want %d", tr.Records(), workers*iters)
 	}
 }
 

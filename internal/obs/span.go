@@ -10,9 +10,8 @@ import (
 
 // Hierarchical tracing (DESIGN.md §11). A Tracer hands out Spans — timed,
 // attributed, parent-linked intervals — and fans every completed span out to
-// its sinks: the Chrome trace exporter (chrome.go), the flight recorder
-// (flight.go) and the streaming per-phase percentile summaries
-// (phasestats.go).
+// its sinks: the Chrome trace exporter (chrome.go) and the flight recorder
+// (flight.go).
 //
 // The hot-path contract mirrors the rest of this package: a nil *Tracer and
 // a nil *Span are fully inert, every method is safe to call on them, and the
@@ -24,8 +23,7 @@ import (
 // that), with the parent's mutex guarding child registration.
 
 // Phase assigns a span to one of the pipeline lanes of the Cascade training
-// loop. The Chrome exporter renders one lane (tid) per phase; the phase
-// stats keep one log-histogram per phase.
+// loop. The Chrome exporter renders one lane (tid) per phase.
 type Phase uint8
 
 // Pipeline phases, in lane order.
@@ -133,7 +131,6 @@ type Tracer struct {
 	epoch time.Time
 	id    string
 	sinks []SpanSink
-	stats *PhaseStats
 }
 
 // TracerOptions wires a Tracer's consumers. All fields optional.
@@ -144,19 +141,13 @@ type TracerOptions struct {
 	// Flight, when non-nil, receives completed root span trees into its
 	// ring buffer.
 	Flight *FlightRecorder
-	// Registry, when non-nil, gets the tracer's per-phase percentile
-	// summaries registered as an exposition collector (they appear on
-	// /metrics as the pipeline_phase_seconds summary family).
-	Registry *Registry
 	// Sinks appends extra consumers.
 	Sinks []SpanSink
 }
 
-// NewTracer builds a tracer with the given consumers. Per-phase statistics
-// are always collected (they are the cheapest consumer and feed both
-// /metrics and /debug/pipeline).
+// NewTracer builds a tracer with the given consumers.
 func NewTracer(opt TracerOptions) *Tracer {
-	t := &Tracer{epoch: time.Now(), stats: NewPhaseStats()}
+	t := &Tracer{epoch: time.Now()}
 	t.id = "t" + strconv.FormatInt(t.epoch.UnixNano(), 36)
 	if opt.Chrome != nil {
 		opt.Chrome.epoch = t.epoch
@@ -166,9 +157,6 @@ func NewTracer(opt TracerOptions) *Tracer {
 		t.sinks = append(t.sinks, opt.Flight)
 	}
 	t.sinks = append(t.sinks, opt.Sinks...)
-	if opt.Registry != nil {
-		opt.Registry.RegisterCollector(t.stats.WritePrometheus)
-	}
 	return t
 }
 
@@ -179,15 +167,6 @@ func (t *Tracer) ID() string {
 		return ""
 	}
 	return t.id
-}
-
-// Stats exposes the per-phase percentile summaries. Nil-safe: a nil tracer
-// returns nil, and a nil *PhaseStats is itself inert.
-func (t *Tracer) Stats() *PhaseStats {
-	if t == nil {
-		return nil
-	}
-	return t.stats
 }
 
 // Epoch is the tracer's construction time — the zero point of Chrome trace
@@ -295,10 +274,9 @@ func (s *Span) SetStr(key, v string) {
 	s.setAttr(Attr{Key: key, Kind: AttrStr, Str: v})
 }
 
-// End closes the span, records its duration into the per-phase statistics
-// and delivers it to every sink. End a span exactly once, after its
-// children have ended; End is nil-safe and a second End on the same span is
-// ignored.
+// End closes the span and delivers it to every sink. End a span exactly
+// once, after its children have ended; End is nil-safe and a second End on
+// the same span is ignored.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -310,7 +288,6 @@ func (s *Span) End() {
 	}
 	s.end = time.Now()
 	s.mu.Unlock()
-	s.tr.stats.Observe(s.phase, s.end.Sub(s.start))
 	for _, sink := range s.tr.sinks {
 		sink.OnSpanEnd(s)
 	}

@@ -3,7 +3,6 @@ package obs
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestNilTracerInert pins the disabled fast path: every Tracer/Span method
@@ -11,7 +10,7 @@ import (
 // code never guards.
 func TestNilTracerInert(t *testing.T) {
 	var tr *Tracer
-	if tr.ID() != "" || tr.Stats() != nil || !tr.Epoch().IsZero() {
+	if tr.ID() != "" || !tr.Epoch().IsZero() {
 		t.Fatal("nil tracer leaked state")
 	}
 	s := tr.Start("batch", PhaseOther)
@@ -40,11 +39,6 @@ func TestNilTracerInert(t *testing.T) {
 		t.Fatal("nil span resolved an attr")
 	}
 	s.VisitChildren(func(*Span) { t.Fatal("nil span visited a child") })
-	var ps *PhaseStats
-	ps.Observe(PhaseEmbed, time.Second)
-	if ps.Summary() != nil || ps.Hist(PhaseEmbed) != nil {
-		t.Fatal("nil PhaseStats leaked state")
-	}
 	var cw *ChromeTraceWriter
 	cw.OnSpanEnd(nil)
 	if err := cw.Close(); err != nil {
@@ -105,12 +99,6 @@ func TestSpanTreeAndAttrs(t *testing.T) {
 	root.VisitChildren(func(c *Span) { kids = append(kids, c.Name()) })
 	if len(kids) != 2 || kids[0] != "embed" || kids[1] != "backward" {
 		t.Fatalf("children = %v", kids)
-	}
-	if got := tr.Stats().Hist(PhaseEmbed).Count(); got != 1 {
-		t.Fatalf("embed observations = %d, want 1", got)
-	}
-	if got := tr.Stats().Hist(PhaseOther).Count(); got != 1 {
-		t.Fatalf("root observations = %d, want 1", got)
 	}
 }
 

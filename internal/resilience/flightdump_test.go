@@ -69,7 +69,7 @@ func TestHealthRollbackFlightDump(t *testing.T) {
 	flight.SetClock(func() time.Time {
 		return time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
 	})
-	tracer := obs.NewTracer(obs.TracerOptions{Flight: flight, Registry: reg})
+	tracer := obs.NewTracer(obs.TracerOptions{Flight: flight})
 	m := models.MustNew("TGN", full, 16, 4, 5)
 	sched := core.NewScheduler(trd.Events, full.NumNodes,
 		core.Options{BaseBatch: 50, Workers: 2, Seed: 1, Obs: reg})

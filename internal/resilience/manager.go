@@ -29,10 +29,8 @@ type Options struct {
 	// LRBackoff scales the learning rate down on every rollback (default
 	// 0.5).
 	LRBackoff float64
-	// Obs receives recovery metrics; Trace receives recovery events. Both
-	// optional.
-	Obs   *obs.Registry
-	Trace *obs.TraceSink
+	// Obs receives recovery metrics (optional).
+	Obs *obs.Registry
 	// Recorder, when non-nil, dumps its flight ring (the last N batch span
 	// trees plus a metrics snapshot) to disk on every health rollback, so the
 	// offending batch's timeline survives the restore.
@@ -96,8 +94,8 @@ func NewManager(tr *train.Trainer, opt Options) (*Manager, error) {
 }
 
 // onCheckpoint is the trainer's cadence hook: retain the snapshot in memory
-// as the rollback target, then persist it. Write failures are counted and
-// traced but deliberately not fatal — losing a checkpoint must not kill the
+// as the rollback target, then persist it. Write failures are counted but
+// deliberately not fatal — losing a checkpoint must not kill the
 // training run, and the atomic writer guarantees no partial file is visible.
 func (m *Manager) onCheckpoint(c *train.CheckpointState) error {
 	m.lastGood = c
@@ -109,22 +107,14 @@ func (m *Manager) persist(c *train.CheckpointState) {
 	if m.opt.Dir == "" {
 		return
 	}
-	path, err := WriteSnapshotFile(m.opt.Dir, m.seq, c, m.opt.Injector)
-	if err != nil {
+	if _, err := WriteSnapshotFile(m.opt.Dir, m.seq, c, m.opt.Injector); err != nil {
 		m.count("resilience_checkpoint_write_failures_total")
-		m.opt.Trace.Emit(map[string]any{
-			"event": "checkpoint_write_failed", "epoch": c.Epoch, "batch": c.Batch, "error": err.Error(),
-		})
 		return
 	}
 	m.seq++
 	m.count("resilience_checkpoints_written_total")
-	m.opt.Trace.Emit(map[string]any{
-		"event": "checkpoint_written", "path": path, "epoch": c.Epoch, "batch": c.Batch,
-	})
-	if err := PruneCheckpoints(m.opt.Dir, m.opt.Keep); err != nil {
-		m.opt.Trace.Emit(map[string]any{"event": "checkpoint_prune_failed", "error": err.Error()})
-	}
+	// A failed prune leaves extra checkpoints behind, never a missing one.
+	_ = PruneCheckpoints(m.opt.Dir, m.opt.Keep)
 }
 
 // Resume loads the newest checkpoint from the directory into the trainer.
@@ -150,9 +140,6 @@ func (m *Manager) Resume() (bool, error) {
 		m.completed = c.Epoch - 1 // mid-epoch: that epoch still needs finishing
 	}
 	m.count("resilience_checkpoints_restored_total")
-	m.opt.Trace.Emit(map[string]any{
-		"event": "checkpoint_restored", "path": path, "epoch": c.Epoch, "batch": c.Batch,
-	})
 	return true, nil
 }
 
@@ -186,11 +173,8 @@ func (m *Manager) Run(epochs int) ([]train.EpochStats, error) {
 		// tree is still in the ring, and the metrics snapshot still reflects
 		// the pre-rollback scheduler state (ABS, filter counters).
 		if m.opt.Recorder != nil {
-			if path, derr := m.opt.Recorder.Dump("health_rollback"); derr != nil {
-				m.opt.Trace.Emit(map[string]any{"event": "flight_dump_failed", "error": derr.Error()})
-			} else {
+			if _, derr := m.opt.Recorder.Dump("health_rollback"); derr == nil {
 				m.count("resilience_flight_dumps_total")
-				m.opt.Trace.Emit(map[string]any{"event": "flight_dump", "path": path, "reason": "health_rollback"})
 			}
 		}
 		if m.lastGood == nil {
@@ -212,10 +196,6 @@ func (m *Manager) Run(epochs int) ([]train.EpochStats, error) {
 		}
 		m.tr.Optimizer().LR = float32(lr)
 		m.count("resilience_rollbacks_total")
-		m.opt.Trace.Emit(map[string]any{
-			"event": "rollback", "kind": he.Kind, "epoch": he.Epoch, "batch": he.Batch,
-			"loss": he.Loss, "grad_norm": he.GradNorm, "lr": lr, "rollbacks": m.rollbacks,
-		})
 	}
 	return out, nil
 }

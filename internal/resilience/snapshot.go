@@ -93,8 +93,10 @@ func DecodeSnapshot(r io.Reader) (*train.CheckpointState, error) {
 	if plen > maxPayload {
 		return nil, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, plen)
 	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// The buffer grows as bytes arrive: a forged length field costs only
+	// the bytes actually present, not a plen-sized allocation up front.
+	var payload bytes.Buffer
+	if _, err := io.CopyN(&payload, r, int64(plen)); err != nil {
 		return nil, fmt.Errorf("%w: reading %d-byte payload: %v", ErrTruncated, plen, err)
 	}
 	var tail [4]byte
@@ -104,12 +106,12 @@ func DecodeSnapshot(r io.Reader) (*train.CheckpointState, error) {
 	crc := crc32.NewIEEE()
 	crc.Write(magic[:])
 	crc.Write(hdr[:])
-	crc.Write(payload)
+	crc.Write(payload.Bytes())
 	if got, want := binary.LittleEndian.Uint32(tail[:]), crc.Sum32(); got != want {
 		return nil, fmt.Errorf("%w: stored %08x, computed %08x", ErrCorrupt, got, want)
 	}
 	var c train.CheckpointState
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&c); err != nil {
+	if err := gob.NewDecoder(&payload).Decode(&c); err != nil {
 		return nil, fmt.Errorf("%w: decoding payload: %v", ErrCorrupt, err)
 	}
 	return &c, nil

@@ -2,10 +2,12 @@ package resilience
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -51,7 +53,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // encodeToBytes is a test helper producing one well-formed snapshot blob.
-func encodeToBytes(t *testing.T) []byte {
+func encodeToBytes(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := EncodeSnapshot(&buf, testState()); err != nil {
@@ -88,6 +90,26 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 		if !errors.Is(err, ErrTruncated) {
 			t.Fatalf("prefix of %d bytes: got %v, want ErrTruncated", cut, err)
 		}
+	}
+}
+
+// TestDecodeForgedLengthAllocatesLittle: a 20-byte header declaring the
+// largest accepted payload (4 GiB) and carrying none of it must fail as
+// truncated without allocating the declared size first.
+func TestDecodeForgedLengthAllocatesLittle(t *testing.T) {
+	blob := make([]byte, 20)
+	copy(blob, snapshotMagic[:])
+	binary.LittleEndian.PutUint32(blob[8:12], FormatVersion)
+	binary.LittleEndian.PutUint64(blob[12:20], maxPayload)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeSnapshot(bytes.NewReader(blob))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("got %v, want ErrTruncated", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("forged length allocated %d bytes, want < 1 MiB", d)
 	}
 }
 

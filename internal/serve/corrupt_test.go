@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 
 	"github.com/cascade-ml/cascade/internal/graph"
@@ -14,7 +16,7 @@ import (
 // contract is absolute: truncated or bit-flipped input produces a typed
 // error — never a panic, never a silent partial decode.
 
-func sampleBatchPayloads(t *testing.T) [][]byte {
+func sampleBatchPayloads(t testing.TB) [][]byte {
 	t.Helper()
 	events := []graph.Event{
 		{Src: 1, Dst: 2, Time: 42.5, FeatIdx: -1},
@@ -67,7 +69,7 @@ func TestDecodeEventBatchBitFlips(t *testing.T) {
 	}
 }
 
-func sampleSnapshot(t *testing.T) []byte {
+func sampleSnapshot(t testing.TB) []byte {
 	t.Helper()
 	// A tiny but real stream checkpoint, so the gob payload exercises the
 	// full decode path.
@@ -99,6 +101,27 @@ func TestDecodeServeSnapshotTruncations(t *testing.T) {
 				t.Fatalf("snapshot truncated to %d bytes decoded without error", cut)
 			}
 		}()
+	}
+}
+
+// TestDecodeServeSnapshotForgedLength: a 20-byte header declaring the
+// largest accepted payload (4 GiB) and carrying none of it must fail as
+// corrupt without allocating the declared size first — every snapshot file
+// in the WAL directory is decoded at startup.
+func TestDecodeServeSnapshotForgedLength(t *testing.T) {
+	head := make([]byte, 20)
+	copy(head, snapMagic[:])
+	binary.LittleEndian.PutUint32(head[8:12], snapFormatVersion)
+	binary.LittleEndian.PutUint64(head[12:20], 1<<32)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeServeSnapshot(bytes.NewReader(head))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, errSnapCorrupt) {
+		t.Fatalf("got %v, want errSnapCorrupt", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("forged length allocated %d bytes, want < 1 MiB", d)
 	}
 }
 

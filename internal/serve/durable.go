@@ -504,8 +504,9 @@ func decodeServeSnapshot(r io.Reader) (*serveSnapshot, error) {
 	if plen > 1<<32 {
 		return nil, fmt.Errorf("%w: implausible payload length %d", errSnapCorrupt, plen)
 	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// Grow as bytes arrive rather than trust plen with an up-front allocation.
+	var payload bytes.Buffer
+	if _, err := io.CopyN(&payload, r, int64(plen)); err != nil {
 		return nil, fmt.Errorf("%w: payload: %v", errSnapCorrupt, err)
 	}
 	var tail [4]byte
@@ -514,12 +515,12 @@ func decodeServeSnapshot(r io.Reader) (*serveSnapshot, error) {
 	}
 	crc := crc32.New(crc32.MakeTable(crc32.Castagnoli))
 	crc.Write(head[:])
-	crc.Write(payload)
+	crc.Write(payload.Bytes())
 	if got, want := binary.LittleEndian.Uint32(tail[:]), crc.Sum32(); got != want {
 		return nil, fmt.Errorf("%w: stored %08x, computed %08x", errSnapCorrupt, got, want)
 	}
 	var c serveSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&c); err != nil {
+	if err := gob.NewDecoder(&payload).Decode(&c); err != nil {
 		return nil, fmt.Errorf("%w: decoding payload: %v", errSnapCorrupt, err)
 	}
 	return &c, nil

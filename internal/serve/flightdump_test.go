@@ -40,7 +40,7 @@ func TestBreakerOpenFlightDump(t *testing.T) {
 	rec.SetClock(func() time.Time {
 		return time.Date(2026, 8, 5, 14, 0, 0, 0, time.UTC)
 	})
-	tracer := obs.NewTracer(obs.TracerOptions{Flight: rec, Registry: reg})
+	tracer := obs.NewTracer(obs.TracerOptions{Flight: rec})
 	s := buildServer(t, overloadData(t),
 		WithRegistry(reg), WithInjector(inj),
 		WithTracer(tracer), WithFlightRecorder(rec),
@@ -120,70 +120,5 @@ func TestBreakerOpenFlightDump(t *testing.T) {
 	slowScore()
 	if got := files(); len(got) != 2 {
 		t.Fatalf("dump files %v, want two after the re-open", got)
-	}
-}
-
-// TestDebugPipelineEndpoint: /debug/pipeline serves the tracer's per-phase
-// summaries and the flight ring's retention as JSON, and degrades to empty
-// data with tracing disabled.
-func TestDebugPipelineEndpoint(t *testing.T) {
-	reg := obs.NewRegistry()
-	rec := obs.NewFlightRecorder(t.TempDir(), 8, reg)
-	tracer := obs.NewTracer(obs.TracerOptions{Flight: rec, Registry: reg})
-	s := buildServer(t, overloadData(t),
-		WithRegistry(reg), WithTracer(tracer), WithFlightRecorder(rec))
-	h := s.Handler()
-
-	// One request through the instrumented mux populates the "other" lane.
-	if rec := get(t, h, "/stats"); rec.Code != http.StatusOK {
-		t.Fatalf("stats: %d", rec.Code)
-	}
-	recw := get(t, h, "/debug/pipeline")
-	if recw.Code != http.StatusOK {
-		t.Fatalf("debug/pipeline: %d", recw.Code)
-	}
-	var resp struct {
-		TraceID string `json:"trace_id"`
-		Phases  []struct {
-			Phase string  `json:"phase"`
-			Count int64   `json:"count"`
-			P99S  float64 `json:"p99_seconds"`
-		} `json:"phases"`
-		Flight map[string]any `json:"flight"`
-	}
-	if err := json.Unmarshal(recw.Body.Bytes(), &resp); err != nil {
-		t.Fatalf("bad JSON: %v", err)
-	}
-	if resp.TraceID == "" {
-		t.Fatal("no trace_id")
-	}
-	found := false
-	for _, p := range resp.Phases {
-		if p.Phase == "other" && p.Count > 0 && p.P99S > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no populated 'other' phase summary in %s", recw.Body)
-	}
-	if resp.Flight == nil {
-		t.Fatal("no flight status")
-	}
-
-	// Tracing disabled: endpoint still answers with empty data.
-	s2 := buildServer(t, overloadData(t), WithRegistry(obs.NewRegistry()))
-	recw2 := get(t, s2.Handler(), "/debug/pipeline")
-	if recw2.Code != http.StatusOK {
-		t.Fatalf("debug/pipeline without tracer: %d", recw2.Code)
-	}
-	var resp2 struct {
-		TraceID string          `json:"trace_id"`
-		Phases  json.RawMessage `json:"phases"`
-	}
-	if err := json.Unmarshal(recw2.Body.Bytes(), &resp2); err != nil {
-		t.Fatalf("bad JSON: %v", err)
-	}
-	if resp2.TraceID != "" {
-		t.Fatalf("trace_id %q with tracing disabled", resp2.TraceID)
 	}
 }

@@ -160,6 +160,36 @@ func TestRateLimitSheds(t *testing.T) {
 	}
 }
 
+// TestScore5xxCounter: serve_score_5xx_total counts server errors only —
+// the availability SLI's numerator (DESIGN.md §16). A bad request (400) or
+// a shed (429) spends no error budget; a refused score with no stale
+// replica (503) does.
+func TestScore5xxCounter(t *testing.T) {
+	inj := faultinject.New()
+	inj.Arm(faultinject.PointServeRefuse, 1)
+	reg := obs.NewRegistry()
+	// Two tokens: the 400 and the 503 spend them, the third request is shed.
+	s := buildServer(t, overloadData(t), WithRegistry(reg), WithInjector(inj),
+		WithLimits(load.Limits{MaxInflight: 8, Rate: 0.001, Burst: 2}))
+	h := s.Handler()
+	for _, step := range []struct {
+		body    any
+		want    int
+		want5xx int64
+	}{
+		{map[string]any{"pairs": []any{}}, http.StatusBadRequest, 0},
+		{scoreBody(1, 61), http.StatusServiceUnavailable, 1},
+		{scoreBody(1, 61), http.StatusTooManyRequests, 1},
+	} {
+		if rec := post(t, h, "/score", step.body); rec.Code != step.want {
+			t.Fatalf("score: %d %s, want %d", rec.Code, rec.Body, step.want)
+		}
+		if got := reg.Counter("serve_score_5xx_total").Value(); got != step.want5xx {
+			t.Fatalf("after a %d: serve_score_5xx_total = %d, want %d", step.want, got, step.want5xx)
+		}
+	}
+}
+
 // TestStaleReplicaMatchesFreshAndRefreshes: with identical weights the
 // degraded path returns the same scores as the fresh one, marks them
 // stale, and re-syncs from the live model on ingest.

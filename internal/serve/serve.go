@@ -61,11 +61,9 @@ type Server struct {
 	started  time.Time
 
 	metrics  *obs.Registry
-	trace    *obs.TraceSink
 	tracer   *obs.Tracer
 	recorder *obs.FlightRecorder
 	logger   *slog.Logger
-	slo      *obs.SLO
 
 	// Overload resilience (see overload.go). All optional: nil admission
 	// controller, breaker and injector are inert, nil stale disables the
@@ -105,12 +103,6 @@ func WithRegistry(r *obs.Registry) Option {
 	return func(s *Server) { s.metrics = r }
 }
 
-// WithTrace emits one JSONL record per request (route, status, duration,
-// item count) into the sink.
-func WithTrace(t *obs.TraceSink) Option {
-	return func(s *Server) { s.trace = t }
-}
-
 // WithLimits puts an admission controller in front of the POST routes:
 // at most MaxInflight requests run, QueueDepth wait, and the rest are shed
 // with 429 + Retry-After (scoring gets the full queue, ingest half — see
@@ -139,16 +131,13 @@ func WithStaleReplica(model models.TGNN, predictor *nn.MLP, every time.Duration)
 }
 
 // WithTracer turns every instrumented request into a span (routes land in
-// the "other" lane) and backs GET /debug/pipeline with the tracer's
-// per-phase latency summaries. Nil is fine and keeps the endpoint working
-// with empty data.
+// the "other" lane). Nil disables request spans.
 func WithTracer(tr *obs.Tracer) Option {
 	return func(s *Server) { s.tracer = tr }
 }
 
 // WithFlightRecorder attaches the flight recorder: a breaker open
-// transition dumps the last N span trees to disk (reason "breaker_open"),
-// and /debug/pipeline reports how many trees the ring currently retains.
+// transition dumps the last N span trees to disk (reason "breaker_open").
 func WithFlightRecorder(f *obs.FlightRecorder) Option {
 	return func(s *Server) { s.recorder = f }
 }
@@ -165,14 +154,6 @@ func WithInjector(inj *faultinject.Injector) Option {
 	return func(s *Server) { s.inj = inj }
 }
 
-// WithSLO replaces the default error-budget tracker (availability 99.9%,
-// 99% of requests under 250ms, 5m/1h windows) with a custom-configured one.
-// Every server has a tracker — the slo_* gauges are always on /metrics —
-// this option only tunes the objectives.
-func WithSLO(slo *obs.SLO) Option {
-	return func(s *Server) { s.slo = slo }
-}
-
 // New builds a server around a trained model and its predictor head (the
 // trainer's head; see train.Trainer.Predictor).
 func New(model models.TGNN, predictor *nn.MLP, numNodes int, opts ...Option) *Server {
@@ -183,10 +164,6 @@ func New(model models.TGNN, predictor *nn.MLP, numNodes int, opts ...Option) *Se
 	if s.metrics == nil {
 		s.metrics = obs.NewRegistry()
 	}
-	if s.slo == nil {
-		s.slo = obs.NewSLO(obs.SLOConfig{})
-	}
-	s.slo.Register(s.metrics)
 	// The controller and breaker are built after option processing so they
 	// export into the final registry.
 	if s.limits != nil {
@@ -270,7 +247,6 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /metrics", s.instrument("metrics", s.handleMetrics))
 	mux.Handle("GET /healthz", s.instrument("healthz", s.handleHealthz))
 	mux.Handle("GET /readyz", s.instrument("readyz", s.handleReadyz))
-	mux.Handle("GET /debug/pipeline", s.instrument("debug_pipeline", s.handleDebugPipeline))
 	mux.Handle("POST /admin/promote", s.instrument("promote", s.handlePromote))
 	return mux
 }
@@ -286,9 +262,9 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// instrument wraps a route with request counting, error counting and a
-// latency histogram (`serve_<route>_seconds`), plus optional per-request
-// trace records. A propagated traceparent header (the router's, or any
+// instrument wraps a route with request counting, error counting (4xx and
+// 5xx in `serve_<route>_errors_total`, 5xx alone in `serve_<route>_5xx_total`)
+// and a latency histogram (`serve_<route>_seconds`). A propagated traceparent header (the router's, or any
 // client's) continues the remote trace: the span — and the slog line —
 // carry the cluster-wide trace-id.
 func (s *Server) instrument(route string, next http.HandlerFunc) http.Handler {
@@ -309,16 +285,13 @@ func (s *Server) instrument(route string, next http.HandlerFunc) http.Handler {
 		s.metrics.Counter("serve_" + route + "_requests_total").Inc()
 		if sw.status >= 400 {
 			s.metrics.Counter("serve_" + route + "_errors_total").Inc()
+			// Only 5xx spends the availability error budget: a shed (429) or
+			// a bad request is the client's to fix (DESIGN.md §16).
+			if sw.status >= 500 {
+				s.metrics.Counter("serve_" + route + "_5xx_total").Inc()
+			}
 		}
 		s.metrics.Histogram("serve_"+route+"_seconds", obs.LatencyEdges...).Observe(elapsed.Seconds())
-		if route == "ingest" || route == "score" {
-			// SLO outcomes count serving requests only, and 5xx only: a shed
-			// (429) or a bad request spent no error budget.
-			s.slo.Observe(sw.status < 500, elapsed)
-		}
-		_ = s.trace.Emit(map[string]any{
-			"route": route, "status": sw.status, "duration_ns": elapsed.Nanoseconds(),
-		})
 		if s.logger != nil {
 			lvl := slog.LevelDebug
 			if sw.status >= 400 {
@@ -570,21 +543,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// routine polling.
 	if r.URL.Query().Get("full") == "1" {
 		resp["state_fingerprint"] = fmt.Sprintf("%016x", s.model.Snapshot().Fingerprint())
-	}
-	writeJSON(w, resp)
-}
-
-// handleDebugPipeline serves the tracing subsystem's live view: per-phase
-// latency percentiles (p50/p95/p99 from the streaming log-histograms) and
-// the flight recorder's retention. Works with tracing disabled — the
-// summaries are simply empty.
-func (s *Server) handleDebugPipeline(w http.ResponseWriter, r *http.Request) {
-	resp := map[string]any{
-		"trace_id": s.tracer.ID(),
-		"phases":   s.tracer.Stats().Summary(),
-	}
-	if s.recorder != nil {
-		resp["flight"] = map[string]any{"retained": s.recorder.Retained()}
 	}
 	writeJSON(w, resp)
 }

@@ -13,7 +13,6 @@ import (
 	"github.com/cascade-ml/cascade/internal/batching"
 	"github.com/cascade-ml/cascade/internal/graph/datagen"
 	"github.com/cascade-ml/cascade/internal/models"
-	"github.com/cascade-ml/cascade/internal/obs"
 	"github.com/cascade-ml/cascade/internal/train"
 )
 
@@ -314,40 +313,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q\n%s", want, out)
-		}
-	}
-}
-
-func TestServeTraceRecords(t *testing.T) {
-	var buf bytes.Buffer
-	ds := datagen.Wiki.Generate(datagen.Options{Scale: 0.002, Seed: 91, FeatDimOverride: 4, MinEvents: 600})
-	m := models.MustNew("JODIE", ds, 8, 4, 3)
-	trainer, err := train.NewTrainer(train.Config{
-		Model: m, Sched: batching.NewFixed("TGL", ds.NumEvents(), 50),
-		Data: ds, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := obs.NewTrace(&buf)
-	s := New(m, trainer.Predictor(), ds.NumNodes, WithTrace(sink))
-	h := s.Handler()
-	post(t, h, "/score", map[string]any{"pairs": []map[string]any{{"src": 0, "dst": 1}}, "time": 1})
-	get(t, h, "/stats")
-	if sink.Records() != 2 {
-		t.Fatalf("trace records = %d, want 2", sink.Records())
-	}
-	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		var rec struct {
-			Route    string `json:"route"`
-			Status   int    `json:"status"`
-			Duration int64  `json:"duration_ns"`
-		}
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("bad trace line %q: %v", line, err)
-		}
-		if rec.Route == "" || rec.Status == 0 {
-			t.Fatalf("incomplete trace record %q", line)
 		}
 	}
 }

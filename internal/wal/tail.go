@@ -88,8 +88,8 @@ func (t *Tailer) Close() {
 
 // errors internal to the read loop: a frame that is not (yet) fully on disk.
 var (
-	errTailEOF     = errors.New("wal: tail at segment end")     // clean frame boundary
-	errTailPartial = errors.New("wal: tail mid-write")          // bytes still landing
+	errTailEOF     = errors.New("wal: tail at segment end") // clean frame boundary
+	errTailPartial = errors.New("wal: tail mid-write")      // bytes still landing
 )
 
 // Next returns the next committed record, waiting up to wait for one to

@@ -125,11 +125,6 @@ func failoverScenario(seed int64) error {
 	}
 	defer router.kill()
 
-	// Client-side SLO tracker over every request the scenario sends through
-	// the router: the scorecard printed at the end shows what the outage
-	// cost in error budget as a client saw it.
-	slo := cascade.NewSLO(cascade.SLOConfig{})
-
 	// Concurrent /score load through the router for the whole scenario.
 	// Availability is the contract: every response must be 2xx — the router
 	// falls back to the standby (stale-ok) during the outage, never 5xx.
@@ -145,9 +140,7 @@ func failoverScenario(seed int64) error {
 				return
 			default:
 			}
-			begin := time.Now()
 			status, body, err := postJSON(router.base+"/score", scoreBody)
-			slo.Observe(err == nil && status < 500, time.Since(begin))
 			if err != nil {
 				scoreBad.Add(1)
 				fmt.Fprintf(os.Stderr, "chaos: failover: /score transport error: %v\n", err)
@@ -167,9 +160,7 @@ func failoverScenario(seed int64) error {
 	const killAfter, total = 40, 70
 	direct, hinted := 0, 0
 	for i := 0; i < total; i++ {
-		begin := time.Now()
 		status, body, err := postJSON(router.base+"/ingest", chaosBatch(i, numNodes))
-		slo.Observe(err == nil && status < 500, time.Since(begin))
 		if err != nil {
 			return fmt.Errorf("ingest %d through router: %w", i, err)
 		}
@@ -272,7 +263,6 @@ func failoverScenario(seed int64) error {
 	if err != nil || status != http.StatusOK {
 		return fmt.Errorf("ingest after failover: status %d err %v body %s", status, err, body)
 	}
-	fmt.Print(slo.FormatScorecard("failover"))
 	fmt.Printf("chaos: failover: SIGKILL primary after %d acks; %d batches hinted then flushed, 1 failover, %d /score responses all 200, promoted-standby fingerprint %s bitwise-equal to reference\n",
 		killAfter, hinted, scoreCount.Load(), fpPromoted)
 	return nil

@@ -431,11 +431,10 @@ func (r *Run) LoadModel(rd io.Reader) error {
 }
 
 // NewScoringReplica builds an independent (model, predictor) pair with the
-// same architecture and weights as this run — the contract of
-// serve.WithStaleReplica: the copy answers /score under its own lock while
-// the fresh path is saturated, trading staleness for availability. Weights
-// are copied at call time; since serving never trains, the copy stays
-// valid for the life of the process.
+// same architecture and weights as this run, for a scoring server that
+// does not share this run's model (the benchmark's serve topologies build
+// theirs this way). Weights are copied at call time; since serving never
+// trains, the copy stays valid for the life of the process.
 func (r *Run) NewScoringReplica() (models.TGNN, *nn.MLP, error) {
 	m, err := models.New(r.cfg.Model, r.cfg.Dataset, r.cfg.MemoryDim, r.cfg.TimeDim, r.cfg.Seed)
 	if err != nil {

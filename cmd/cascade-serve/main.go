@@ -38,7 +38,6 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 16, "concurrently admitted requests; more wait in the bounded queue")
 	queueDepth := flag.Int("queue-depth", 64, "wait-queue bound behind -max-inflight; arrivals beyond it are shed with 429 + Retry-After")
 	rate := flag.Float64("rate", 0, "sustained admission rate in requests/second (token bucket; 0 = unlimited)")
-	staleOK := flag.Bool("stale-ok", false, "degrade /score to a stale-snapshot replica instead of shedding when the fresh path is saturated or its breaker is open")
 	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "how long the scoring circuit breaker stays open before probing")
 	traceChrome := flag.String("trace-chrome", "", "write a Chrome trace-event JSON file here (pre-training batches + per-request spans; open in Perfetto)")
 	flightDir := flag.String("flight-dir", "", "flight-recorder dump directory; the span ring is dumped here when the scoring breaker opens")
@@ -148,17 +147,6 @@ func main() {
 	}
 	if flight != nil {
 		opts = append(opts, serve.WithFlightRecorder(flight))
-	}
-	if *staleOK {
-		sm, sp, err := run.NewScoringReplica()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cascade-serve: stale replica: %v\n", err)
-			os.Exit(1)
-		}
-		// Re-sync the replica from the live model at most once per second:
-		// Snapshot copies every node memory, so per-ingest refresh would
-		// double ingest cost under sustained load.
-		opts = append(opts, serve.WithStaleReplica(sm, sp, time.Second))
 	}
 	if *walDir != "" {
 		policy, err := wal.ParseSyncPolicy(*walSync)

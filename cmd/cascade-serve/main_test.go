@@ -9,10 +9,10 @@ import (
 )
 
 // TestFlagSurface runs the built binary: the removed per-request JSONL sink
-// flag must be rejected by the flag parser rather than accepted and ignored,
-// and -h must still list the Chrome trace flag. Flag parsing precedes
+// and stale-replica flags must be rejected by the flag parser rather than
+// accepted and ignored, and -h must still list the Chrome trace flag. Flag parsing precedes
 // pre-training, and the unknown dataset stops a binary that still accepted
-// -trace before it trains, so no invocation trains.
+// either flag before it trains, so no invocation trains.
 func TestFlagSurface(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "cascade-serve")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -25,6 +25,7 @@ func TestFlagSurface(t *testing.T) {
 	}{
 		{[]string{"-h"}, 0, "-trace-chrome"},
 		{[]string{"-trace", "x", "-dataset", "none"}, 2, "flag provided but not defined: -trace"},
+		{[]string{"-stale-ok", "-dataset", "none"}, 2, "flag provided but not defined: -stale-ok"},
 	} {
 		out, err := exec.Command(bin, tc.args...).CombinedOutput()
 		code := 0

@@ -139,21 +139,6 @@ func (f *Fixed) Next() (Batch, bool) {
 // OnBatchEnd implements Scheduler (fixed batching ignores feedback).
 func (f *Fixed) OnBatchEnd(Feedback) {}
 
-// CollectBatches runs a scheduler to exhaustion and returns every batch; a
-// test and experiment helper.
-func CollectBatches(s Scheduler) []Batch {
-	var out []Batch
-	s.Reset()
-	for {
-		b, ok := s.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, b)
-		s.OnBatchEnd(Feedback{})
-	}
-}
-
 // MeanBatchSize returns the average size of a batch list (0 when empty).
 func MeanBatchSize(batches []Batch) float64 {
 	if len(batches) == 0 {

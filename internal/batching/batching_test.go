@@ -39,7 +39,7 @@ func assertPartition(t *testing.T, name string, batches []Batch, n int) {
 func TestFixedPartition(t *testing.T) {
 	for _, size := range []int{1, 7, 100, 1499, 1500, 9999} {
 		f := NewFixed("TGL", 1500, size)
-		batches := CollectBatches(f)
+		batches := collectBatches(f)
 		assertPartition(t, "fixed", batches, 1500)
 		for i, b := range batches {
 			if b.Size() != size && i != len(batches)-1 {
@@ -62,7 +62,7 @@ func TestFixedResetRestarts(t *testing.T) {
 func TestNeutronStreamPartitionAndIndependence(t *testing.T) {
 	events := genEvents(t)
 	ns := NewNeutronStream(events, 200)
-	batches := CollectBatches(ns)
+	batches := collectBatches(ns)
 	assertPartition(t, "neutronstream", batches, len(events))
 	for bi, b := range batches {
 		nodes := make(map[int32]bool)
@@ -81,7 +81,7 @@ func TestNeutronStreamPreservesPerNodeOrder(t *testing.T) {
 	events := genEvents(t)
 	ns := NewNeutronStream(events, 300)
 	lastIdx := make(map[int32]int)
-	for _, b := range CollectBatches(ns) {
+	for _, b := range collectBatches(ns) {
 		// Within the whole schedule, any node's events must appear in
 		// ascending event-index order across batches.
 		for _, idx := range b.Indices {
@@ -104,7 +104,7 @@ func TestNeutronStreamFragmentsOnHotNodes(t *testing.T) {
 		events[i] = graph.Event{Src: 0, Dst: int32(i + 1), Time: float64(i)}
 	}
 	ns := NewNeutronStream(events, 10)
-	batches := CollectBatches(ns)
+	batches := collectBatches(ns)
 	if len(batches) != 20 {
 		t.Fatalf("hot-node sequence gave %d layers, want 20", len(batches))
 	}
@@ -117,7 +117,7 @@ func TestETCPartitionAndExpansion(t *testing.T) {
 	if etc.Threshold() <= 0 {
 		t.Fatalf("threshold %d", etc.Threshold())
 	}
-	batches := CollectBatches(etc)
+	batches := collectBatches(etc)
 	assertPartition(t, "etc", batches, len(events))
 	mean := MeanBatchSize(batches)
 	if mean < base {
@@ -144,7 +144,7 @@ func TestETCExpandsOnDisjointEvents(t *testing.T) {
 	}
 	all := append(hot, events...)
 	etc := NewETC(all, 10)
-	batches := CollectBatches(etc)
+	batches := collectBatches(etc)
 	if len(batches) == 0 {
 		t.Fatal("no batches")
 	}
@@ -299,5 +299,19 @@ func TestUniqueNodes(t *testing.T) {
 	b := Batch{Indices: []int{3, 0}}
 	if got := b.Nodes(events); len(got) != 3 || got[0] != 4 || got[1] != 3 || got[2] != 1 {
 		t.Fatalf("indexed batch nodes %v", got)
+	}
+}
+
+// collectBatches runs a scheduler to exhaustion and returns every batch.
+func collectBatches(s Scheduler) []Batch {
+	var out []Batch
+	s.Reset()
+	for {
+		b, ok := s.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, b)
+		s.OnBatchEnd(Feedback{})
 	}
 }

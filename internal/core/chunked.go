@@ -64,15 +64,6 @@ func (c *ChunkedTable) ChunkBounds(i int) (lo, hi int) {
 	return lo, hi
 }
 
-// ChunkOf returns the chunk index containing event idx.
-func (c *ChunkedTable) ChunkOf(idx int) int {
-	i := idx / c.chunkSize
-	if i >= len(c.chunks) {
-		i = len(c.chunks) - 1
-	}
-	return i
-}
-
 // Get returns chunk i's table, building it on first use. With pipelining
 // enabled, the call also kicks off chunk i+1's build in the background so it
 // overlaps the caller's training on chunk i.

@@ -185,9 +185,6 @@ func TestChunkedTableBoundsDependencies(t *testing.T) {
 	if lo != 6 || hi != 12 {
 		t.Fatalf("bounds [%d,%d)", lo, hi)
 	}
-	if ct.ChunkOf(11) != 1 || ct.ChunkOf(0) != 0 {
-		t.Fatal("ChunkOf")
-	}
 	if ct.MemoryBytes() <= 0 {
 		t.Fatal("memory accounting")
 	}

@@ -61,9 +61,6 @@ func (f *SGFilter) Update(nodes []int32, pre, post *tensor.Matrix) {
 	}
 }
 
-// IsStable reports node n's current flag.
-func (f *SGFilter) IsStable(n int32) bool { return f.flags[n] }
-
 // StableFunc returns the predicate form used by the TG-Diffuser.
 func (f *SGFilter) StableFunc() func(int32) bool {
 	return func(n int32) bool { return f.flags[n] }
@@ -97,9 +94,6 @@ func (f *SGFilter) StableCount() int {
 	}
 	return c
 }
-
-// Theta returns the similarity threshold.
-func (f *SGFilter) Theta() float64 { return float64(f.theta) }
 
 // MemoryBytes reports the flag array's resident size (Fig. 13c's "SF" bar).
 func (f *SGFilter) MemoryBytes() int64 { return int64(len(f.flags)) }

@@ -19,8 +19,8 @@ func TestSGFilterFlagsBySimilarity(t *testing.T) {
 		4, 4,
 	})
 	f.Update([]int32{0, 1, 2}, pre, post)
-	if !f.IsStable(0) || f.IsStable(1) || !f.IsStable(2) {
-		t.Fatalf("flags: %v %v %v", f.IsStable(0), f.IsStable(1), f.IsStable(2))
+	if !f.flags[0] || f.flags[1] || !f.flags[2] {
+		t.Fatalf("flags: %v %v %v", f.flags[0], f.flags[1], f.flags[2])
 	}
 	if f.StableCount() != 2 {
 		t.Fatalf("stable count %d", f.StableCount())
@@ -34,13 +34,13 @@ func TestSGFilterFlagFollowsLatestUpdate(t *testing.T) {
 	f := NewSGFilter(2, 0.9)
 	same := tensor.FromSlice(1, 2, []float32{1, 0})
 	f.Update([]int32{0}, same, same.Clone())
-	if !f.IsStable(0) {
+	if !f.flags[0] {
 		t.Fatal("identical update not stable")
 	}
 	// Node moves again → flag drops.
 	moved := tensor.FromSlice(1, 2, []float32{0, 1})
 	f.Update([]int32{0}, same, moved)
-	if f.IsStable(0) {
+	if f.flags[0] {
 		t.Fatal("destabilized node kept its flag")
 	}
 }
@@ -50,7 +50,7 @@ func TestSGFilterReset(t *testing.T) {
 	same := tensor.FromSlice(1, 2, []float32{1, 1})
 	f.Update([]int32{1}, same, same.Clone())
 	f.Reset()
-	if f.IsStable(1) || f.StableUpdateRatio() != 0 {
+	if f.flags[1] || f.StableUpdateRatio() != 0 {
 		t.Fatal("reset incomplete")
 	}
 }
@@ -64,10 +64,10 @@ func TestSGFilterThresholdSensitivity(t *testing.T) {
 	loose.Update([]int32{0}, pre, post)
 	strict := NewSGFilter(1, 0.95)
 	strict.Update([]int32{0}, pre, post)
-	if !loose.IsStable(0) {
+	if !loose.flags[0] {
 		t.Fatal("θ=0.85 should accept sim≈0.894")
 	}
-	if strict.IsStable(0) {
+	if strict.flags[0] {
 		t.Fatal("θ=0.95 should reject sim≈0.894")
 	}
 }
@@ -77,7 +77,7 @@ func TestSGFilterZeroMemoriesAreStable(t *testing.T) {
 	f := NewSGFilter(1, 0.9)
 	z := tensor.NewMatrix(1, 3)
 	f.Update([]int32{0}, z, z.Clone())
-	if !f.IsStable(0) {
+	if !f.flags[0] {
 		t.Fatal("zero→zero update not stable")
 	}
 }

@@ -155,22 +155,3 @@ func TestTransformerLayerFusedGolden(t *testing.T) {
 		})
 	}
 }
-
-func TestMultiHeadFusedGolden(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	const b, k, in, out, heads = 3, 4, 5, 6, 2
-	mg := NewMultiHeadGAT(rng, in, out, heads)
-	self := randConst(rng, b, in)
-	neigh := randConst(rng, b*k, in)
-	runFusedGolden(t, "multihead-gat", mg, func() *tensor.Tensor {
-		return scalarizeNN(rand.New(rand.NewSource(13)), mg.Forward(self, neigh, k, nil))
-	})
-
-	const dim = 8
-	mt := NewMultiHeadTransformer(rng, dim, heads)
-	q := randConst(rng, b, dim)
-	kv := randConst(rng, b*k, dim)
-	runFusedGolden(t, "multihead-transformer", mt, func() *tensor.Tensor {
-		return scalarizeNN(rand.New(rand.NewSource(14)), mt.Forward(q, kv, k, nil))
-	})
-}

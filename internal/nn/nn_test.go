@@ -288,63 +288,6 @@ func TestMLPValidation(t *testing.T) {
 	NewMLP(rand.New(rand.NewSource(0)), ActReLU, 4)
 }
 
-func TestMultiHeadGATShapesAndGrad(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	const b, k, in, out, heads = 3, 4, 5, 6, 2
-	m := NewMultiHeadGAT(rng, in, out, heads)
-	self := randConst(rng, b, in)
-	neigh := randConst(rng, b*k, in)
-	y := m.Forward(self, neigh, k, nil)
-	if y.Rows() != b || y.Cols() != out {
-		t.Fatalf("multi-head GAT output %dx%d", y.Rows(), y.Cols())
-	}
-	loss := tensor.SumT(tensor.MulT(y, y))
-	loss.Backward()
-	grads := 0
-	for _, p := range m.Params() {
-		if p.T.Grad != nil {
-			grads++
-		}
-	}
-	if grads == 0 {
-		t.Fatal("no gradients reached multi-head GAT params")
-	}
-	if len(m.Params()) <= len(NewGATLayer(rng, in, out).Params()) {
-		t.Fatal("multi-head has no more params than single head")
-	}
-}
-
-func TestMultiHeadTransformerShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	const b, k, dim, heads = 2, 3, 8, 2
-	m := NewMultiHeadTransformer(rng, dim, heads)
-	q := randConst(rng, b, dim)
-	kv := randConst(rng, b*k, dim)
-	y := m.Forward(q, kv, k, nil)
-	if y.Rows() != b || y.Cols() != dim {
-		t.Fatalf("multi-head transformer output %dx%d", y.Rows(), y.Cols())
-	}
-	// Repeated application stays bounded (LayerNorm), the property the
-	// single-head block needed for APAN.
-	for i := 0; i < 20; i++ {
-		y = m.Forward(y, kv, k, nil)
-	}
-	for _, v := range y.Value.Data {
-		if v > 50 || v < -50 {
-			t.Fatalf("unbounded multi-head output %v", v)
-		}
-	}
-}
-
-func TestMultiHeadValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for zero heads")
-		}
-	}()
-	NewMultiHeadGAT(rand.New(rand.NewSource(0)), 4, 4, 0)
-}
-
 func TestLayerNormModule(t *testing.T) {
 	ln := NewLayerNorm(4)
 	x := randConst(rand.New(rand.NewSource(33)), 3, 4)

@@ -117,7 +117,7 @@ func Workers(n, workers int) int {
 // each w sees exactly one chunk, so fn may write to per-worker scratch slot w
 // without synchronization. Unlike ForChunks there is no small-n inline
 // shortcut beyond the single-worker case — callers opt into chunked fan-out
-// deliberately (e.g. GEMM k-splitting with per-worker accumulators).
+// deliberately (e.g. MinIntReduce's per-worker partial minima).
 func ForChunksWorker(n, workers int, fn func(w, lo, hi int)) {
 	workers = Workers(n, workers)
 	if workers == 0 {

@@ -191,7 +191,6 @@ func (s *Server) StartWAL() (*WALRecovery, error) {
 	s.metrics.Counter("serve_wal_replayed_events_total").Add(int64(replayedEvents))
 	s.metrics.Gauge("serve_wal_applied_seq").Set(float64(s.appliedSeq))
 	s.wlog = l
-	s.refreshStale()
 	return rec, nil
 }
 

@@ -6,60 +6,18 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"github.com/cascade-ml/cascade/internal/load"
-	"github.com/cascade-ml/cascade/internal/models"
-	"github.com/cascade-ml/cascade/internal/nn"
 	"github.com/cascade-ml/cascade/internal/resilience/faultinject"
 )
 
 // Overload handling (see DESIGN.md §10). The admission controller bounds
 // work in flight plus a small wait queue and sheds the rest with
-// 429 + Retry-After; a circuit breaker watches the fresh scoring path for
-// deadline misses; and an optional stale replica — an independent
-// (model, predictor) pair with its own lock, refreshed from the live
-// model's Snapshot on ingest — answers /score when the fresh path is
-// saturated or broken. Serving slightly-stale node memories instead of
-// failing is MSPipe's staleness argument applied to serving.
-
-// staleScorer is the degraded scoring path's replica. Its weights must
-// equal the live model's (serving never trains, so a construction-time copy
-// stays valid); its stream state lags the live model by at most the refresh
-// interval.
-type staleScorer struct {
-	mu        sync.Mutex
-	model     models.TGNN
-	predictor *nn.MLP
-	lastTime  float64
-	refreshed time.Time
-	every     time.Duration
-}
-
-// refreshStale re-syncs the stale replica from the live model. Caller must
-// hold s.mu (the snapshot must be consistent); the replica's own lock
-// nests inside, never the reverse, so the two paths cannot deadlock.
-func (s *Server) refreshStale() {
-	st := s.stale
-	if st == nil {
-		return
-	}
-	now := time.Now()
-	st.mu.Lock()
-	if st.every > 0 && !st.refreshed.IsZero() && now.Sub(st.refreshed) < st.every {
-		st.mu.Unlock()
-		return
-	}
-	st.mu.Unlock()
-	snap := s.model.Snapshot()
-	st.mu.Lock()
-	st.model.Restore(snap)
-	st.lastTime = s.lastTime
-	st.refreshed = now
-	st.mu.Unlock()
-	s.metrics.Counter("serve_stale_refresh_total").Inc()
-}
+// 429 + Retry-After, and a circuit breaker watches the scoring path for
+// deadline misses: while it is open, or when a request is refused, /score
+// answers 503 + Retry-After without touching the model. A cluster's stale
+// answer is the router's fallback to the shard's standby.
 
 // withDeadline applies the client's per-request deadline (the
 // X-Request-Timeout-Ms header) to the request context, so it bounds both
@@ -83,7 +41,7 @@ func (s *Server) admitted(cl load.Class, next http.HandlerFunc) http.HandlerFunc
 	return func(w http.ResponseWriter, r *http.Request) {
 		release, err := s.admit.AcquireClass(r.Context(), cl)
 		if err != nil {
-			s.shed(w, r, cl, err)
+			shed(w, err)
 			return
 		}
 		defer release()
@@ -93,27 +51,12 @@ func (s *Server) admitted(cl load.Class, next http.HandlerFunc) http.HandlerFunc
 
 // shed turns an admission failure into a response: 429 + Retry-After for
 // queue-full and rate-limit sheds, 503 when the caller's own deadline
-// expired while queued — except that a saturated /score degrades to the
-// stale replica when one is configured, because a slightly-stale answer
-// beats no answer (rate-limit sheds still 429: the client exceeded its
-// contract, staleness doesn't change that).
-func (s *Server) shed(w http.ResponseWriter, r *http.Request, cl load.Class, err error) {
+// expired while queued.
+func shed(w http.ResponseWriter, err error) {
 	var se *load.ShedError
 	if !errors.As(err, &se) {
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusServiceUnavailable, "deadline expired while queued: %v", err)
-		return
-	}
-	if cl == load.ClassHigh && s.stale != nil && errors.Is(err, load.ErrQueueFull) {
-		r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
-		var req scoreRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		if !s.validPairs(w, &req) {
-			return
-		}
-		s.degradedScore(w, &req)
 		return
 	}
 	secs := int((se.RetryAfter + time.Second - 1) / time.Second)
@@ -124,30 +67,11 @@ func (s *Server) shed(w http.ResponseWriter, r *http.Request, cl load.Class, err
 	httpError(w, http.StatusTooManyRequests, "overloaded: %v", se.Reason)
 }
 
-// degradedScore answers from the stale replica (503 when none is
-// configured). The response carries stale=true plus the snapshot age so
-// clients can tell a degraded answer from a fresh one.
-func (s *Server) degradedScore(w http.ResponseWriter, req *scoreRequest) {
-	st := s.stale
-	if st == nil {
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "scoring unavailable and no stale replica configured")
-		return
-	}
-	st.mu.Lock()
-	at := req.Time
-	if at < st.lastTime {
-		at = st.lastTime
-	}
-	scores := scorePairs(st.model, st.predictor, req.Pairs, at)
-	var age float64
-	if !st.refreshed.IsZero() {
-		age = time.Since(st.refreshed).Seconds()
-	}
-	st.mu.Unlock()
-	s.metrics.Counter("serve_score_stale_total").Inc()
-	s.metrics.Counter("serve_pairs_scored_total").Add(int64(len(req.Pairs)))
-	writeJSON(w, map[string]any{"scores": scores, "stale": true, "stale_age_seconds": age})
+// scoreUnavailable answers a /score the fresh path cannot take (refused,
+// breaker open, or deadline missed) with 503 + Retry-After.
+func scoreUnavailable(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", "1")
+	httpError(w, http.StatusServiceUnavailable, "scoring unavailable")
 }
 
 // scoreFresh runs the read-only scoring cycle on the live model under its

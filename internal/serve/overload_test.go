@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net"
 	"net/http"
@@ -21,7 +20,6 @@ import (
 	"github.com/cascade-ml/cascade/internal/graph/datagen"
 	"github.com/cascade-ml/cascade/internal/load"
 	"github.com/cascade-ml/cascade/internal/models"
-	"github.com/cascade-ml/cascade/internal/nn"
 	"github.com/cascade-ml/cascade/internal/obs"
 	"github.com/cascade-ml/cascade/internal/resilience/faultinject"
 	"github.com/cascade-ml/cascade/internal/train"
@@ -32,18 +30,8 @@ func overloadData(t *testing.T) *graph.Dataset {
 	return datagen.Wiki.Generate(datagen.Options{Scale: 0.002, Seed: 91, FeatDimOverride: 4, MinEvents: 600})
 }
 
-// buildServer assembles an untrained server (weights at seeded init, so a
-// replica built by the same recipe matches bit for bit).
+// buildServer assembles an untrained server, weights at seeded init.
 func buildServer(t *testing.T, ds *graph.Dataset, opts ...Option) *Server {
-	t.Helper()
-	m, p := replicaPair(t, ds)
-	return New(m, p, ds.NumNodes, opts...)
-}
-
-// replicaPair builds a (model, predictor) pair deterministically from the
-// dataset: calling it twice yields two independent copies with identical
-// weights — the stale-replica contract.
-func replicaPair(t *testing.T, ds *graph.Dataset) (models.TGNN, *nn.MLP) {
 	t.Helper()
 	tr, val := ds.Split(0.8)
 	m := models.MustNew("JODIE", ds, 8, 4, 3)
@@ -54,12 +42,7 @@ func replicaPair(t *testing.T, ds *graph.Dataset) (models.TGNN, *nn.MLP) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, trainer.Predictor()
-}
-
-type scoreResp struct {
-	Scores []float64 `json:"scores"`
-	Stale  bool      `json:"stale"`
+	return New(m, trainer.Predictor(), ds.NumNodes, opts...)
 }
 
 func scoreBody(src, dst int) map[string]any {
@@ -162,8 +145,8 @@ func TestRateLimitSheds(t *testing.T) {
 
 // TestScore5xxCounter: serve_score_5xx_total counts server errors only —
 // the availability SLI's numerator (DESIGN.md §16). A bad request (400) or
-// a shed (429) spends no error budget; a refused score with no stale
-// replica (503) does.
+// a shed (429) spends no error budget; a refused score (503) does, and
+// tells the client when to retry.
 func TestScore5xxCounter(t *testing.T) {
 	inj := faultinject.New()
 	inj.Arm(faultinject.PointServeRefuse, 1)
@@ -173,115 +156,24 @@ func TestScore5xxCounter(t *testing.T) {
 		WithLimits(load.Limits{MaxInflight: 8, Rate: 0.001, Burst: 2}))
 	h := s.Handler()
 	for _, step := range []struct {
-		body    any
-		want    int
-		want5xx int64
+		body       any
+		want       int
+		want5xx    int64
+		retryAfter bool
 	}{
-		{map[string]any{"pairs": []any{}}, http.StatusBadRequest, 0},
-		{scoreBody(1, 61), http.StatusServiceUnavailable, 1},
-		{scoreBody(1, 61), http.StatusTooManyRequests, 1},
+		{map[string]any{"pairs": []any{}}, http.StatusBadRequest, 0, false},
+		{scoreBody(1, 61), http.StatusServiceUnavailable, 1, true},
+		{scoreBody(1, 61), http.StatusTooManyRequests, 1, true},
 	} {
-		if rec := post(t, h, "/score", step.body); rec.Code != step.want {
+		rec := post(t, h, "/score", step.body)
+		if rec.Code != step.want {
 			t.Fatalf("score: %d %s, want %d", rec.Code, rec.Body, step.want)
+		}
+		if step.retryAfter && rec.Header().Get("Retry-After") == "" {
+			t.Fatalf("a %d carries no Retry-After", step.want)
 		}
 		if got := reg.Counter("serve_score_5xx_total").Value(); got != step.want5xx {
 			t.Fatalf("after a %d: serve_score_5xx_total = %d, want %d", step.want, got, step.want5xx)
-		}
-	}
-}
-
-// TestStaleReplicaMatchesFreshAndRefreshes: with identical weights the
-// degraded path returns the same scores as the fresh one, marks them
-// stale, and re-syncs from the live model on ingest.
-func TestStaleReplicaMatchesFreshAndRefreshes(t *testing.T) {
-	ds := overloadData(t)
-	sm, sp := replicaPair(t, ds)
-	inj := faultinject.New()
-	inj.Arm(faultinject.PointServeRefuse, 2) // only the 2nd score is refused
-	reg := obs.NewRegistry()
-	s := buildServer(t, ds,
-		WithRegistry(reg), WithInjector(inj), WithStaleReplica(sm, sp, 0))
-	h := s.Handler()
-
-	decode := func(rec *httptest.ResponseRecorder) scoreResp {
-		t.Helper()
-		if rec.Code != http.StatusOK {
-			t.Fatalf("score status %d: %s", rec.Code, rec.Body)
-		}
-		var r scoreResp
-		if err := json.Unmarshal(rec.Body.Bytes(), &r); err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	fresh := decode(post(t, h, "/score", scoreBody(3, 40)))
-	if fresh.Stale {
-		t.Fatal("unfaulted score marked stale")
-	}
-	stale := decode(post(t, h, "/score", scoreBody(3, 40)))
-	if !stale.Stale {
-		t.Fatal("refused score not served from the stale replica")
-	}
-	if len(fresh.Scores) != 1 || len(stale.Scores) != 1 || fresh.Scores[0] != stale.Scores[0] {
-		t.Fatalf("stale score %v != fresh score %v despite identical replicas", stale.Scores, fresh.Scores)
-	}
-	if got := reg.Counter("serve_score_stale_total").Value(); got != 1 {
-		t.Fatalf("serve_score_stale_total %d, want 1", got)
-	}
-
-	// Ingest re-syncs the replica: its stream clock must advance with the
-	// live one, so degraded scores reflect recent events.
-	if rec := post(t, h, "/ingest", map[string]any{"events": []map[string]any{
-		{"src": 3, "dst": 40, "time": 2e7},
-	}}); rec.Code != http.StatusOK {
-		t.Fatalf("ingest: %d %s", rec.Code, rec.Body)
-	}
-	if reg.Counter("serve_stale_refresh_total").Value() == 0 {
-		t.Fatal("ingest did not refresh the stale replica")
-	}
-	s.stale.mu.Lock()
-	staleTime := s.stale.lastTime
-	s.stale.mu.Unlock()
-	if staleTime != 2e7 {
-		t.Fatalf("stale replica clock %v, want 2e7", staleTime)
-	}
-}
-
-// TestQueueFullDegradesToStale: when /score is shed for queue-full and a
-// stale replica exists, the request degrades instead of bouncing — the
-// stale path has its own lock, so saturation of the fresh path doesn't
-// block it.
-func TestQueueFullDegradesToStale(t *testing.T) {
-	ds := overloadData(t)
-	sm, sp := replicaPair(t, ds)
-	inj := faultinject.New()
-	inj.ArmDelay(faultinject.PointServeSlowScore, 300*time.Millisecond, 1)
-	s := buildServer(t, ds,
-		WithInjector(inj), WithStaleReplica(sm, sp, 0),
-		WithLimits(load.Limits{MaxInflight: 1, QueueDepth: 1}))
-	h := s.Handler()
-
-	// Occupy the single slot with a slow score, and the queue with one more.
-	hold := make(chan *httptest.ResponseRecorder, 2)
-	for i := 0; i < 2; i++ {
-		go func() { hold <- post(t, h, "/score", scoreBody(1, 61)) }()
-	}
-	waitForCond(t, func() bool { return s.admit.Saturated() })
-
-	rec := post(t, h, "/score", scoreBody(3, 40))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("saturated score: %d %s, want degraded 200", rec.Code, rec.Body)
-	}
-	var r scoreResp
-	if err := json.Unmarshal(rec.Body.Bytes(), &r); err != nil {
-		t.Fatal(err)
-	}
-	if !r.Stale {
-		t.Fatal("saturated score not marked stale")
-	}
-	for i := 0; i < 2; i++ {
-		if rec := <-hold; rec.Code != http.StatusOK {
-			t.Fatalf("held score: %d %s", rec.Code, rec.Body)
 		}
 	}
 }
@@ -330,8 +222,7 @@ func TestBreakerOpensOnDeadlineMissesAndRecovers(t *testing.T) {
 	if rec := get(t, h, "/readyz"); rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("readyz with open breaker: %d, want 503", rec.Code)
 	}
-	// While open, scoring is refused without touching the model (503 — no
-	// stale replica configured).
+	// While open, scoring is refused without touching the model (503).
 	if rec := post(t, h, "/score", scoreBody(1, 61)); rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("score with open breaker: %d, want 503", rec.Code)
 	}

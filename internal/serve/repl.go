@@ -217,7 +217,6 @@ func (s *Server) ApplyReplicated(seq uint64, payload []byte) error {
 	s.metrics.Gauge("serve_wal_applied_seq").Set(float64(seq))
 	s.metrics.Gauge("serve_stream_time").Set(s.lastTime)
 	s.maybeCompactLocked()
-	s.refreshStale()
 	return nil
 }
 
@@ -274,7 +273,6 @@ func (s *Server) InstallReplicaSnapshot(seq uint64, data []byte) error {
 	}
 	s.metrics.Counter("serve_repl_snapshots_installed_total").Inc()
 	s.metrics.Gauge("serve_wal_applied_seq").Set(float64(seq))
-	s.refreshStale()
 	return nil
 }
 

@@ -68,13 +68,11 @@ type Server struct {
 	logger   *slog.Logger
 
 	// Overload resilience (see overload.go). All optional: nil admission
-	// controller, breaker and injector are inert, nil stale disables the
-	// degraded path.
+	// controller, breaker and injector are inert.
 	limits     *load.Limits
 	breakerCfg *load.BreakerConfig
 	admit      *load.Controller
 	breaker    *load.Breaker
-	stale      *staleScorer
 	inj        *faultinject.Injector
 	draining   atomic.Bool
 
@@ -114,22 +112,10 @@ func WithLimits(lim load.Limits) Option {
 }
 
 // WithBreaker protects the fresh scoring path with a circuit breaker fed
-// by request-deadline misses; while open, /score degrades to the stale
-// replica (503 without one). The breaker state is exported as the
-// `breaker_state` gauge.
+// by request-deadline misses; while open, /score answers 503 + Retry-After.
+// The breaker state is exported as the `breaker_state` gauge.
 func WithBreaker(cfg load.BreakerConfig) Option {
 	return func(s *Server) { s.breakerCfg = &cfg }
-}
-
-// WithStaleReplica enables the degraded scoring path: replica must be an
-// independent (model, predictor) pair with the same architecture and
-// weights as the live one (see cascade.Run.NewScoringReplica). Its stream
-// state is re-synced from the live model's Snapshot on ingest, at most
-// once per `every` (0 = every ingest).
-func WithStaleReplica(model models.TGNN, predictor *nn.MLP, every time.Duration) Option {
-	return func(s *Server) {
-		s.stale = &staleScorer{model: model, predictor: predictor, every: every}
-	}
 }
 
 // WithTracer turns every instrumented request into a span (routes land in
@@ -413,7 +399,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Histogram("serve_ingest_batch_size", obs.SizeEdges...).Observe(float64(len(events)))
 	s.metrics.Gauge("serve_stream_time").Set(s.lastTime)
 	s.maybeCompactLocked()
-	s.refreshStale()
 	seq, repl, ackTimeout := s.appliedSeq, s.repl, s.replOpts.AckTimeout
 	s.mu.Unlock()
 	// Semi-synchronous replication: hold the ack until the standby has the
@@ -489,20 +474,20 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if !s.validPairs(w, &req) {
 		return
 	}
-	// An injected refusal or an open breaker diverts the request to the
-	// degraded path before it can touch the fresh one.
+	// An injected refusal or an open breaker turns the request away before
+	// it can touch the model.
 	if s.inj.Fire(faultinject.PointServeRefuse) || !s.breaker.Allow() {
-		s.degradedScore(w, &req)
+		scoreUnavailable(w)
 		return
 	}
 	scores, err := s.scoreFresh(r.Context(), &req)
 	if err != nil {
 		// A deadline miss on the fresh path is the breaker's failure
-		// signal: enough of them in a row and /score flips to stale-only
-		// until the cooldown probe succeeds.
+		// signal: enough of them in a row and /score answers 503 until the
+		// cooldown probe succeeds.
 		s.breaker.RecordFailure()
 		s.metrics.Counter("serve_deadline_misses_total").Inc()
-		s.degradedScore(w, &req)
+		scoreUnavailable(w)
 		return
 	}
 	s.breaker.RecordSuccess()

@@ -15,12 +15,13 @@ import (
 // are at most a few hundred columns, so one row tile of b fits in L1 and the
 // whole right-hand side fits in L2; no explicit cache packing is needed.
 //
-// The plain and ᵀB kernels parallelize over destination rows (disjoint
-// writes, no synchronization). The ᵀA kernel is different: its output is a
-// small weight-shaped matrix while the reduction dimension k runs over batch
-// rows, so it fans out over k-chunks with a per-worker partial output
-// (drawn from the tensor arena) and a final sum — that is what makes the
-// backward pass scale with cores instead of serializing on weight grads.
+// All three kernels parallelize over destination rows (disjoint writes, no
+// synchronization), and each worker runs the serial kernel's whole k loop
+// on its rows. So every output element sees the same sequence of float
+// operations at any worker count, and no result depends on GOMAXPROCS
+// (DESIGN.md §8). For the ᵀA kernel the destination rows are a's columns,
+// the weight's input dimension; the batch rows it reduces over are never
+// split.
 
 // matmulParallelThreshold is the flop count above which the GEMM kernels fan
 // out across cores. Below it the goroutine overhead outweighs the win.
@@ -78,24 +79,10 @@ func MatMulTransAAccum(dst, a, b *Matrix) {
 }
 
 func transAAccum(dst, a, b *Matrix) {
-	workers := parallel.Workers(a.Rows, 0)
-	if workers <= 1 || a.Rows*a.Cols*b.Cols < matmulParallelThreshold {
-		gemmTransA(dst, a, b, 0, a.Rows)
-		return
-	}
-	// Fan out over k-chunks: each worker reduces its slice of the batch into
-	// a private weight-shaped partial from the arena, summed at the end.
-	partials := make([]*Matrix, workers)
-	parallel.ForChunksWorker(a.Rows, workers, func(w, lo, hi int) {
-		p := NewMatrix(dst.Rows, dst.Cols)
-		partials[w] = p
-		gemmTransA(p, a, b, lo, hi)
-	})
-	for _, p := range partials {
-		if p != nil {
-			AxpyInto(dst, p, 1)
-			p.Release()
-		}
+	if a.Rows*a.Cols*b.Cols >= matmulParallelThreshold {
+		parallel.ForChunks(a.Cols, 0, func(lo, hi int) { gemmTransA(dst, a, b, lo, hi) })
+	} else {
+		gemmTransA(dst, a, b, 0, a.Cols)
 	}
 }
 
@@ -317,16 +304,16 @@ func gemmTransBVec(dst, a, b *Matrix, lo, hi int, accumulate bool) {
 	}
 }
 
-// gemmTransA accumulates dst += aᵀ[kLo:kHi)·b: a rank-(kHi-kLo) update of
-// the weight-shaped dst. The k loop is outermost in quads so the four b rows
-// stay hot in L1 while every pair of destination rows takes its broadcast
-// multiply-adds — the same 2×4 tile as gemmRows with the roles of a's axes
+// gemmTransA accumulates dst[iLo:iHi) += (aᵀ·b)[iLo:iHi), a rank-k update
+// of those rows of the weight-shaped dst. The k loop is outermost in quads
+// so the four b rows stay hot in L1 while every pair of destination rows
+// takes its broadcast multiply-adds — the same 2×4 tile as gemmRows with the roles of a's axes
 // swapped (a is read down columns, four strided loads per destination row
 // pair, all hoisted out of the inner j loop).
-func gemmTransA(dst, a, b *Matrix, kLo, kHi int) {
-	n, ac := dst.Cols, a.Cols
-	k := kLo
-	for ; k+4 <= kHi; k += 4 {
+func gemmTransA(dst, a, b *Matrix, iLo, iHi int) {
+	n, ac, kd := dst.Cols, a.Cols, a.Rows
+	k := 0
+	for ; k+4 <= kd; k += 4 {
 		ar0 := a.Data[k*ac : k*ac+ac]
 		ar1 := a.Data[(k+1)*ac : (k+1)*ac+ac]
 		ar2 := a.Data[(k+2)*ac : (k+2)*ac+ac]
@@ -336,13 +323,13 @@ func gemmTransA(dst, a, b *Matrix, kLo, kHi int) {
 		b2 := b.Data[(k+2)*n : (k+2)*n+n]
 		b3 := b.Data[(k+3)*n : (k+3)*n+n]
 		if useAVX2 {
-			for i := 0; i < ac; i++ {
+			for i := iLo; i < iHi; i++ {
 				axpy4(dst.Data[i*n:i*n+n], b0, b1, b2, b3, ar0[i], ar1[i], ar2[i], ar3[i])
 			}
 			continue
 		}
-		i := 0
-		for ; i+2 <= ac; i += 2 {
+		i := iLo
+		for ; i+2 <= iHi; i += 2 {
 			a00, a01, a02, a03 := ar0[i], ar1[i], ar2[i], ar3[i]
 			a10, a11, a12, a13 := ar0[i+1], ar1[i+1], ar2[i+1], ar3[i+1]
 			d0 := dst.Data[i*n : i*n+n]
@@ -353,7 +340,7 @@ func gemmTransA(dst, a, b *Matrix, kLo, kHi int) {
 				d1[j] += a10*bv0 + a11*bv1 + a12*bv2 + a13*bv3
 			}
 		}
-		if i < ac {
+		if i < iHi {
 			a00, a01, a02, a03 := ar0[i], ar1[i], ar2[i], ar3[i]
 			d0 := dst.Data[i*n : i*n+n]
 			for j, bv0 := range b0 {
@@ -361,14 +348,14 @@ func gemmTransA(dst, a, b *Matrix, kLo, kHi int) {
 			}
 		}
 	}
-	for ; k < kHi; k++ {
-		arow := a.Data[k*ac : k*ac+ac]
+	for ; k < kd; k++ {
+		arow := a.Data[k*ac+iLo : k*ac+iHi]
 		brow := b.Data[k*n : k*n+n]
 		for i, av := range arow {
 			if av == 0 {
 				continue
 			}
-			d := dst.Data[i*n : i*n+n]
+			d := dst.Data[(iLo+i)*n : (iLo+i)*n+n]
 			for j, bv := range brow {
 				d[j] += av * bv
 			}

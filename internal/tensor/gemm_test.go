@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -154,5 +155,41 @@ func TestMatMulGoldenRandomShapes(t *testing.T) {
 		a := randMatrix(rng, m, k)
 		b := randMatrix(rng, k, n)
 		assertClose(t, fmt.Sprintf("trial %d (%d,%d,%d)", trial, m, k, n), MatMul(a, b), naiveMatMul(a, b))
+	}
+}
+
+// TestMatMulTransAAccumWorkerCountInvariant: the weight-grad kernel gives
+// bitwise the same result at every worker count, so training does not
+// depend on GOMAXPROCS. Shapes are above the parallel threshold, with
+// destination row counts that split unevenly and a batch dimension that is
+// not a multiple of 4; a sprinkling of zeros in a hits the tail loop's skip.
+func TestMatMulTransAAccumWorkerCountInvariant(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	rng := rand.New(rand.NewSource(29))
+	for _, s := range []struct{ k, m, n int }{{257, 67, 13}, {130, 101, 37}, {33, 129, 17}, {1001, 65, 5}} {
+		a := randMatrix(rng, s.k, s.m)
+		for i := range a.Data {
+			if i%7 == 0 {
+				a.Data[i] = 0
+			}
+		}
+		b := randMatrix(rng, s.k, s.n)
+		base := randMatrix(rng, s.m, s.n)
+		var want *Matrix
+		for w := 1; w <= 4; w++ {
+			runtime.GOMAXPROCS(w)
+			got := base.Clone()
+			MatMulTransAAccum(got, a, b)
+			if want == nil {
+				want = got
+				continue
+			}
+			for i := range got.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("%dx%dᵀ·%dx%d: element %d is %v at %d workers, %v at 1", s.k, s.m, s.k, s.n, i, got.Data[i], w, want.Data[i])
+				}
+			}
+		}
 	}
 }

@@ -9,7 +9,6 @@ package train
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -178,9 +177,6 @@ type EpochStats struct {
 	// StableRatio is the SG-Filter's stable-update ratio (0 for other
 	// schedulers).
 	StableRatio float64
-	// ValLoss is the isolated per-epoch validation loss (only filled by
-	// TrainWithValidation).
-	ValLoss float64
 	// Bounded-staleness epoch totals (zero when Config.Staleness == 0):
 	// StaleServed counts anchor reads served ≥ 1 round behind,
 	// StaleAppliedRounds the queued rounds drained by forced applies, and
@@ -987,18 +983,6 @@ func (t *Trainer) negativeSample(ds *graph.Dataset, e graph.Event) int32 {
 	return e.Dst
 }
 
-// MeanLoss averages the Loss field of epoch stats.
-func MeanLoss(epochs []EpochStats) float64 {
-	if len(epochs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, e := range epochs {
-		s += e.Loss
-	}
-	return s / float64(len(epochs))
-}
-
 // TotalWall sums epoch wall times.
 func TotalWall(epochs []EpochStats) time.Duration {
 	var s time.Duration
@@ -1015,53 +999,4 @@ func TotalDevice(epochs []EpochStats) time.Duration {
 		s += e.DeviceTime
 	}
 	return s
-}
-
-// TrainWithEarlyStop trains up to maxEpochs, stopping once the epoch train
-// loss fails to improve for `patience` consecutive epochs. Returns the
-// per-epoch statistics and whether the run stopped early.
-func (t *Trainer) TrainWithEarlyStop(maxEpochs, patience int) ([]EpochStats, bool) {
-	if patience <= 0 {
-		patience = 3
-	}
-	var out []EpochStats
-	best := math.Inf(1)
-	since := 0
-	for e := 0; e < maxEpochs; e++ {
-		st := t.TrainEpoch()
-		out = append(out, st)
-		if st.Loss < best-1e-9 {
-			best = st.Loss
-			since = 0
-			continue
-		}
-		since++
-		if since >= patience {
-			return out, true
-		}
-	}
-	return out, false
-}
-
-// ValidateIsolated runs Validate against a snapshot of the model's stream
-// state and restores it afterwards, so mid-training validation does not
-// perturb the training stream (validation otherwise advances memories and
-// adjacency). Weights are untouched either way.
-func (t *Trainer) ValidateIsolated() float64 {
-	snap := t.cfg.Model.Snapshot()
-	v := t.Validate()
-	t.cfg.Model.Restore(snap)
-	return v
-}
-
-// TrainWithValidation runs epochs like Train but records an isolated
-// validation loss after each epoch in EpochStats.ValLoss.
-func (t *Trainer) TrainWithValidation(epochs int) []EpochStats {
-	out := make([]EpochStats, 0, epochs)
-	for e := 0; e < epochs; e++ {
-		st := t.TrainEpoch()
-		st.ValLoss = t.ValidateIsolated()
-		out = append(out, st)
-	}
-	return out
 }

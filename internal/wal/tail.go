@@ -75,9 +75,6 @@ func (l *Log) TailFrom(last uint64) *Tailer {
 	return &Tailer{l: l, last: last}
 }
 
-// Last returns the sequence number of the last record Next handed out.
-func (t *Tailer) Last() uint64 { return t.last }
-
 // Close releases the tailer's file handle. The log itself is untouched.
 func (t *Tailer) Close() {
 	if t.f != nil {
